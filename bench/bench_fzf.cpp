@@ -1,5 +1,5 @@
-// Experiment E9 (DESIGN.md): FZF's worst-case O(n log n) bound,
-// Theorem 4.6. The inputs include exactly the workloads on which LBT
+// FZF's worst-case O(n log n) bound, Theorem 4.6 (docs/ALGORITHMS.md,
+// "FZF"). The inputs include exactly the workloads on which LBT
 // degrades (high concurrency, c = Theta(n)); FZF must stay quasilinear
 // on them, plus chunk-structure micro-benchmarks for Stage 1.
 #include <benchmark/benchmark.h>

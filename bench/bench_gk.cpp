@@ -1,4 +1,4 @@
-// Experiment E10 (DESIGN.md): the Gibbons-Korach 1-AV baseline scales
+// The Gibbons-Korach 1-AV baseline (docs/ALGORITHMS.md, "GK") scales
 // quasilinearly -- the "solved problem" cost that LBT/FZF are measured
 // against.
 #include <benchmark/benchmark.h>

@@ -1,4 +1,4 @@
-// Experiment E11 (DESIGN.md): Theorem 5.1 says k-WAV is NP-complete.
+// Theorem 5.1 says k-WAV is NP-complete (docs/ALGORITHMS.md, "k-WAV").
 // The executable evidence: the exact weighted decider's cost explodes
 // with instance size on reductions of hard bin-packing instances,
 // while the polynomial FFD heuristic stays flat (at the price of

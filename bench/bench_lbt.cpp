@@ -1,5 +1,4 @@
-// Experiment E4/E5/E14 (DESIGN.md): LBT's running-time behaviour,
-// Theorem 3.2.
+// LBT's running-time behaviour, Theorem 3.2 (docs/ALGORITHMS.md, "LBT").
 //
 //   - lbt_practical_n:   runtime vs n at bounded concurrency; the paper
 //     predicts quasilinear growth ("likely to be quasilinear for the

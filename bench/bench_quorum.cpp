@@ -1,4 +1,4 @@
-// Experiments E12/E13 (DESIGN.md): the end-to-end pipeline on the
+// The end-to-end pipeline (docs/ALGORITHMS.md, "sharded pipeline") on the
 // paper's motivating system. Measures (a) simulator + verification
 // throughput, and (b) -- as reportable counters -- the staleness
 // landscape across quorum configurations: fraction of per-key histories

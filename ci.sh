@@ -1,8 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run every test suite.
 # Usage: ./ci.sh [--asan|--tsan|--tidy] [build-dir]
+#        ./ci.sh --bench-selftest
 #        (default: build; build-asan with --asan, build-tsan with
 #        --tsan, build-tidy with --tidy)
+#   --bench-selftest: the benchmark's own answer-key check at tiny
+#           sizes (python3 kavbench/run.py --selftest): builds
+#           kavbench/ in Release mode (into $CARGO_TARGET_DIR, or
+#           .bench_build) and runs every workload in both modes,
+#           checking every verdict and finding against the generator's
+#           answer key and the printed metrics against BENCHMARK.json.
 #   --asan: rebuild under Address + UndefinedBehavior sanitizers and run
 #           the deterministic `unit` ctest label, the `crash` label (the
 #           store's fork/_Exit crash-recovery matrix -- _Exit skips the
@@ -46,7 +53,9 @@ cd "$(dirname "$0")"
 ASAN=0
 TSAN=0
 TIDY=0
-if [[ "${1:-}" == "--asan" ]]; then
+if [[ "${1:-}" == "--bench-selftest" ]]; then
+  exec python3 kavbench/run.py --selftest
+elif [[ "${1:-}" == "--asan" ]]; then
   ASAN=1
   shift
 elif [[ "${1:-}" == "--tsan" ]]; then

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "ingest/keyed_monitor.h"
@@ -283,28 +284,46 @@ namespace {
 // and ordered. Inactive (pass-everything) when the filter is empty.
 struct KeyFilter {
   bool active = false;
-  std::set<std::string> wanted;
+  std::set<std::string, std::less<>> wanted;
 
   explicit KeyFilter(const RunOptions& run)
       : active(!run.key_filter.empty()),
         wanted(run.key_filter.begin(), run.key_filter.end()) {}
 
-  bool pass(const std::string& key) const {
+  bool pass(std::string_view key) const {
     return !active || wanted.count(key) > 0;
   }
 };
 
+// A grouper storing only the operations of keys `filter` passes, while
+// still recording every key the input offered.
+KeyGrouper grouper_for(const KeyFilter& filter) {
+  if (!filter.active) return KeyGrouper();
+  return KeyGrouper(
+      [&filter](std::string_view key) { return filter.pass(key); });
+}
+
+template <typename Offered>
+bool offers(const Offered& offered, const std::string& key) {
+  return offered.count(key) > 0;
+}
+
+// KeyGroups::keys: sorted and distinct.
+bool offers(const std::vector<std::string>& offered, const std::string& key) {
+  return std::binary_search(offered.begin(), offered.end(), key);
+}
+
 // Fills Report's selection accounting given which keys the input
-// actually offered. `requested` and `offered` are sorted sets, so
-// missing_keys comes out sorted.
-template <typename OfferedSet>
+// actually offered. `requested` is sorted, so missing_keys comes out
+// sorted.
+template <typename Offered>
 void account_selection(Report& report, const KeyFilter& filter,
-                       const OfferedSet& offered) {
+                       const Offered& offered) {
   if (!filter.active) return;
   report.selected = true;
   report.keys_available = offered.size();
   for (const std::string& key : filter.wanted) {
-    if (offered.count(key) > 0) {
+    if (offers(offered, key)) {
       ++report.keys_selected;
     } else {
       report.missing_keys.push_back(key);
@@ -468,40 +487,12 @@ RunControl run_control_for(
 
 }  // namespace
 
-Report Engine::run_batch(
-    const KeyedHistories& shards, const RunOptions& run,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  return batch_report_from(
-      verifier_->verify(shards, run.verify ? *run.verify : options_.verify,
-                        run_control_for(run, deadline)));
-}
-
 Report Engine::run_specs(
     const std::vector<ShardSpec>& specs, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   return batch_report_from(verifier_->verify_shards(
       specs, run.verify ? *run.verify : options_.verify,
       run_control_for(run, deadline)));
-}
-
-Report Engine::verify_filtered(
-    const KeyedHistories& shards, const RunOptions& run,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  const KeyFilter filter(run);
-  std::vector<ShardSpec> specs;
-  std::set<std::string> offered;
-  for (const auto& [key, history] : shards.per_key) {
-    offered.insert(key);
-    if (!filter.pass(key)) continue;
-    ShardSpec spec;
-    spec.key = key;
-    spec.op_count = history.size();
-    spec.pinned = &history;
-    specs.push_back(std::move(spec));
-  }
-  Report report = run_specs(specs, run, deadline);
-  account_selection(report, filter, offered);
-  return report;
 }
 
 Report Engine::verify_selective(
@@ -530,10 +521,12 @@ Report Engine::verify_selective(
 Report Engine::verify(const KeyedTrace& trace, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/true);
   const auto deadline = effective_deadline(run);
-  const KeyedHistories shards = split_by_key(trace);
-  Report report = run.key_filter.empty()
-                      ? run_batch(shards, run, deadline)
-                      : verify_filtered(shards, run, deadline);
+  const KeyFilter filter(run);
+  KeyGrouper grouper = grouper_for(filter);
+  for (const KeyedOperation& kop : trace.ops) grouper.add(kop.key, kop.op);
+  KeyGroups groups = std::move(grouper).finish();
+  Report report = run_specs(lazy_shards(groups), run, deadline);
+  account_selection(report, filter, groups.keys);
   scope.finish(report);
   return report;
 }
@@ -541,9 +534,19 @@ Report Engine::verify(const KeyedTrace& trace, const RunOptions& run) {
 Report Engine::verify(const KeyedHistories& shards, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/true);
   const auto deadline = effective_deadline(run);
-  Report report = run.key_filter.empty()
-                      ? run_batch(shards, run, deadline)
-                      : verify_filtered(shards, run, deadline);
+  const KeyFilter filter(run);
+  // Pinned specs: the selected shards are verified in place, no copies.
+  std::vector<ShardSpec> specs;
+  for (const auto& [key, history] : shards.per_key) {
+    if (!filter.pass(key)) continue;
+    ShardSpec spec;
+    spec.key = key;
+    spec.op_count = history.size();
+    spec.pinned = &history;
+    specs.push_back(std::move(spec));
+  }
+  Report report = run_specs(specs, run, deadline);
+  account_selection(report, filter, shards.per_key);
   scope.finish(report);
   return report;
 }
@@ -562,33 +565,20 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
       scope.finish(report);
       return report;
     }
-    // Any other source: filter while draining. Still one pass and no
-    // stored non-matching operations, but every record is decoded.
-    const KeyFilter filter(run);
-    KeyedTrace trace;
-    std::set<std::string> offered;
-    const std::string stop = drive_source(
-        source, run, deadline, "reading " + source.describe(),
-        [&trace, &offered, &filter](KeyedOperation kop) {
-          offered.insert(kop.key);
-          if (filter.pass(kop.key)) trace.ops.push_back(std::move(kop));
-        });
-    Report report = run_batch(split_by_key(trace), run, deadline);
-    account_selection(report, filter, offered);
-    if (!stop.empty()) {
-      report.cancelled = true;
-      report.stop_reason = stop;
-    }
-    scope.finish(report);
-    return report;
   }
-  KeyedTrace trace;
+  // Any other source (or no filter): group by key while draining, then
+  // one lazy shard per key, its History built on a pool worker. A
+  // filter keeps only matching operations, but every record is decoded.
+  const KeyFilter filter(run);
+  KeyGrouper grouper = grouper_for(filter);
   const std::string stop =
       drive_source(source, run, deadline, "reading " + source.describe(),
-                   [&trace](KeyedOperation kop) {
-                     trace.ops.push_back(std::move(kop));
+                   [&grouper](const KeyedOperation& kop) {
+                     grouper.add(kop.key, kop.op);
                    });
-  Report report = run_batch(split_by_key(trace), run, deadline);
+  KeyGroups groups = std::move(grouper).finish();
+  Report report = run_specs(lazy_shards(groups), run, deadline);
+  account_selection(report, filter, groups.keys);
   if (!stop.empty()) {
     report.cancelled = true;
     report.stop_reason = stop;

@@ -146,14 +146,19 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Batch verification: split by key, verify shards on the shared
-  // pool, merge in key order. Report::mode == batch.
+  // Batch verification: group by key, verify shards on the shared
+  // pool, merge in key order. Report::mode == batch. Each key's History
+  // is built on a pool worker and freed after its verdict. A malformed
+  // operation (start >= finish) throws std::invalid_argument when its
+  // key's History is built, so the operations of a skipped shard
+  // (budget, cancel, deadline, fail-fast) are never checked.
   Report verify(const KeyedTrace& trace, const RunOptions& run = {});
   Report verify(const KeyedHistories& shards, const RunOptions& run = {});
-  // Pulls the source dry first (cancellable), then verifies -- unless
-  // RunOptions::key_filter is set and the source is index-backed
-  // (SelectiveTraceSource), in which case only the requested keys'
-  // blocks are ever decoded, each inside a pool worker.
+  // Pulls the source dry first (cancellable), grouping by key as it
+  // reads, then verifies as above -- unless RunOptions::key_filter is
+  // set and the source is index-backed (SelectiveTraceSource), in which
+  // case only the requested keys' blocks are ever decoded, each inside
+  // a pool worker.
   Report verify(TraceSource& source, const RunOptions& run = {});
 
   // Online monitoring: stream the source through a per-key
@@ -207,21 +212,13 @@ class Engine {
   obs::StatusSnapshot status(std::size_t top_n = 10) const;
 
  private:
-  // `deadline` is the already-anchored cutoff for the whole call --
-  // computed once at the public entry point so a slow TraceSource read
-  // phase cannot re-arm a relative timeout for the shard phase.
-  Report run_batch(
-      const KeyedHistories& shards, const RunOptions& run,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline);
-  // Shard-spec form of run_batch (the key_filter paths): pinned specs
-  // for filtered in-memory shards, lazy specs for index-backed loads.
+  // Every batch path ends here: pinned specs for pre-split shards,
+  // lazy specs for grouped traces and index-backed loads. `deadline` is
+  // the already-anchored cutoff for the whole call -- computed once at
+  // the public entry point so a slow TraceSource read phase cannot
+  // re-arm a relative timeout for the shard phase.
   Report run_specs(
       const std::vector<ShardSpec>& specs, const RunOptions& run,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline);
-  // key_filter over pre-split shards: verifies only the requested
-  // shards (pinned, no copies) and fills the selection accounting.
-  Report verify_filtered(
-      const KeyedHistories& shards, const RunOptions& run,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);
   // key_filter over an index-backed source: one lazy spec per
   // requested key, decoded on the pool straight from the index.

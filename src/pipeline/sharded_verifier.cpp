@@ -41,7 +41,8 @@ struct ShardedVerifier::Metrics {
         shard_decode_seconds(registry.histogram(
             "kav_engine_shard_decode_seconds",
             "Wall time materializing one lazy shard from its source "
-            "(mmap block decode on the selective path).")),
+            "(mmap block decode on the selective path, History build "
+            "from grouped operations on the full-trace path).")),
         shards_verified(registry.counter(
             "kav_engine_shards_verified_total",
             "Per-key shards a decision procedure actually ran on.")),
@@ -104,8 +105,24 @@ ShardedVerifier::ShardedVerifier(pipeline::ThreadPool& pool,
       metrics_(std::make_shared<Metrics>(
           metrics != nullptr ? *metrics : obs::MetricsRegistry::global())) {}
 
+std::vector<ShardSpec> lazy_shards(KeyGroups& groups) {
+  std::vector<ShardSpec> specs;
+  specs.reserve(groups.keys.size());
+  for (std::size_t i = 0; i < groups.keys.size(); ++i) {
+    std::vector<Operation>* bucket = &groups.ops[i];
+    if (bucket->empty()) continue;
+    ShardSpec spec;
+    spec.key = groups.keys[i];
+    spec.op_count = bucket->size();
+    spec.load = [bucket] { return History(std::move(*bucket)); };
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
 KeyedReport ShardedVerifier::verify(const KeyedTrace& trace) {
-  return verify(split_by_key(trace));
+  KeyGroups groups = group_by_key(trace);
+  return verify_shards(lazy_shards(groups), verify_options_, RunControl{});
 }
 
 KeyedReport ShardedVerifier::verify(const KeyedHistories& shards) {

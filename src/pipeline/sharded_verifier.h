@@ -47,13 +47,14 @@ namespace kav {
 
 // One unit of parallel work for verify_shards: a key plus EITHER a
 // pre-materialized history (`pinned`, the classic KeyedHistories path)
-// OR a loader the worker invokes to materialize it lazily (`load`, the
-// trace store's index-driven path: op_count comes from index
-// statistics, and the shard's operations are decoded from their mmap
-// blocks inside the pool worker -- the full trace is never
-// materialized anywhere). op_count is what shard_op_budget is checked
-// against, so over-budget lazy shards are skipped without decoding a
-// single record.
+// OR a loader the worker invokes to materialize it lazily (`load`).
+// Two paths build lazy shards: the trace store's index-driven path
+// (op_count comes from index statistics, and the shard's operations
+// are decoded from their mmap blocks inside the pool worker) and the
+// full-trace path (lazy_shards below: the worker builds the History
+// from the key's grouped operations). op_count is what shard_op_budget
+// is checked against, so over-budget lazy shards are skipped without
+// loading anything.
 struct ShardSpec {
   std::string key;
   std::size_t op_count = 0;
@@ -61,6 +62,12 @@ struct ShardSpec {
   std::function<History()> load;     // else called on the worker;
                                      // must be thread-safe
 };
+
+// One lazy spec per non-empty group, in key order. Each loader moves
+// its key's bucket out of `groups` into a History, so every History is
+// built on a pool worker and freed once its verdict is in. `groups`
+// must outlive the verify_shards call, and each spec loads at most once.
+std::vector<ShardSpec> lazy_shards(KeyGroups& groups);
 
 struct PipelineOptions {
   // Worker threads; 0 picks std::thread::hardware_concurrency().

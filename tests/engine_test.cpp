@@ -11,10 +11,13 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "gen/generators.h"
 #include "kav.h"
@@ -223,20 +226,36 @@ class EngineSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     trace_ = multi_key_trace(5, 14, 77);
-    text_path_ = ::testing::TempDir() + "engine_source_test.txt";
-    binary_path_ = ::testing::TempDir() + "engine_source_test.kavb";
+    // One set of files per test and process: `ctest -j` runs every
+    // case in its own process, so shared names would let one case's
+    // TearDown delete another's input.
+    const std::string stem =
+        ::testing::TempDir() + "engine_source_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid());
+    text_path_ = stem + ".txt";
+    binary_path_ = stem + ".kavb";
+    indexed_path_ = stem + "_v2.kavb";
     write_trace_file(text_path_, trace_);
     write_binary_trace_file(binary_path_, trace_);
+    std::ofstream out(indexed_path_, std::ios::binary);
+    SegmentWriterOptions options;
+    options.records_per_block = 4;  // several blocks per key
+    SegmentWriter writer(out, options);
+    writer.add(trace_);
+    writer.finish();
   }
 
   void TearDown() override {
     std::remove(text_path_.c_str());
     std::remove(binary_path_.c_str());
+    std::remove(indexed_path_.c_str());
   }
 
   KeyedTrace trace_;
   std::string text_path_;
   std::string binary_path_;
+  std::string indexed_path_;  // .kavb v2: a SelectiveTraceSource
 };
 
 TEST_F(EngineSourceTest, MemoryTextAndBinarySourcesVerifyIdentically) {
@@ -252,6 +271,45 @@ TEST_F(EngineSourceTest, MemoryTextAndBinarySourcesVerifyIdentically) {
   expect_reports_equal(from_trace, engine.verify(memory));
   expect_reports_equal(from_trace, engine.verify(*text));
   expect_reports_equal(from_trace, engine.verify(*binary));
+}
+
+// Every source shape yields the same Report, with and without a key
+// filter: the memory trace and the text / v1 sources group while
+// draining, the v2 source drains through its index without a filter
+// and loads only the requested keys with one.
+TEST_F(EngineSourceTest, EverySourceGivesTheSameReportWithAndWithoutFilter) {
+  Engine engine;
+  RunOptions unfiltered;
+  RunOptions filtered;
+  filtered.key_filter = {"key3", "absent", "key1", "key3"};
+  for (const RunOptions* run : {&unfiltered, &filtered}) {
+    SCOPED_TRACE(run->key_filter.empty() ? "no filter" : "key filter");
+    const Report reference = engine.verify(trace_, *run);
+    EXPECT_EQ(reference.per_key.size(), run->key_filter.empty() ? 5u : 2u);
+
+    MemoryTraceSource memory(trace_);
+    auto text = open_trace_source(text_path_);
+    auto binary = open_trace_source(binary_path_);
+    auto indexed = open_trace_source(indexed_path_);
+    ASSERT_NE(dynamic_cast<SelectiveTraceSource*>(indexed.get()), nullptr);
+    for (TraceSource* source :
+         {static_cast<TraceSource*>(&memory), text.get(), binary.get(),
+          indexed.get()}) {
+      SCOPED_TRACE(source->describe());
+      const Report report = engine.verify(*source, *run);
+      expect_reports_equal(reference, report);
+      EXPECT_EQ(report.selected, reference.selected);
+      EXPECT_EQ(report.keys_selected, reference.keys_selected);
+      EXPECT_EQ(report.keys_available, reference.keys_available);
+      EXPECT_EQ(report.missing_keys, reference.missing_keys);
+      EXPECT_FALSE(report.cancelled);
+    }
+  }
+  const Report selected = engine.verify(trace_, filtered);
+  EXPECT_TRUE(selected.selected);
+  EXPECT_EQ(selected.keys_selected, 2u);
+  EXPECT_EQ(selected.keys_available, 5u);
+  EXPECT_EQ(selected.missing_keys, std::vector<std::string>{"absent"});
 }
 
 TEST_F(EngineSourceTest, MonitorAgreesAcrossFileFormats) {

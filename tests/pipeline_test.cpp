@@ -295,6 +295,61 @@ TEST(ShardedVerifier, ShardOpBudgetSkipsOversizedShards) {
             std::string::npos);
 }
 
+TEST(ShardedVerifier, LazyShardsMatchPinnedShards) {
+  const KeyedTrace trace = multi_key_trace(6, 24, 29);
+  ShardedVerifier verifier;
+  KeyGroups groups = group_by_key(trace);
+  const std::vector<ShardSpec> specs = lazy_shards(groups);
+  ASSERT_EQ(specs.size(), 6u);
+  EXPECT_EQ(specs.front().key, "key0");
+  EXPECT_EQ(specs.front().op_count, groups.ops.front().size());
+  expect_reports_identical(verifier.verify(split_by_key(trace)),
+                           verifier.verify_shards(specs, {}, RunControl{}));
+  // Each loader moved its bucket into the History it built.
+  for (const std::vector<Operation>& ops : groups.ops) {
+    EXPECT_TRUE(ops.empty());
+  }
+}
+
+TEST(ShardedVerifier, CancelFromOnKeyNeverLoadsTheRemainingShards) {
+  const KeyedTrace trace = multi_key_trace(6, 10, 41);
+  KeyGroups groups = group_by_key(trace);
+  std::vector<ShardSpec> specs = lazy_shards(groups);
+  ASSERT_EQ(specs.size(), 6u);
+  std::atomic<int> loads{0};
+  for (ShardSpec& spec : specs) {
+    spec.load = [inner = std::move(spec.load), &loads] {
+      loads.fetch_add(1);
+      return inner();
+    };
+  }
+  pipeline::ThreadPool pool(1);  // one worker: shards run one at a time
+  ShardedVerifier verifier(pool);
+  RunControl run;
+  int callbacks = 0;
+  run.on_key = [&run, &callbacks](const std::string&, const Verdict& verdict) {
+    ++callbacks;  // serialized by the verifier
+    if (verdict.reason != kSkipCancelledReason) run.cancel.cancel();
+  };
+  const KeyedReport report = verifier.verify_shards(specs, {}, run);
+
+  EXPECT_EQ(loads.load(), 1);
+  EXPECT_EQ(callbacks, 6);
+  ASSERT_EQ(report.per_key.size(), 6u);
+  EXPECT_EQ(report.count(Outcome::undecided), 5u);
+  std::size_t skipped = 0;
+  for (const auto& [key, verdict] : report.per_key) {
+    if (verdict.reason == kSkipCancelledReason) ++skipped;
+  }
+  EXPECT_EQ(skipped, 5u);
+  // The skipped keys' buckets were never moved out.
+  std::size_t untouched = 0;
+  for (const std::vector<Operation>& ops : groups.ops) {
+    if (!ops.empty()) ++untouched;
+  }
+  EXPECT_EQ(untouched, 5u);
+}
+
 TEST(AutoDispatchPolicy, ExercisesBothDeciders) {
   // The ZoneProfile policy must be a real policy, not a constant: low
   // write concurrency routes to LBT, high concurrency and doomed
