@@ -31,7 +31,9 @@
 #           hammered from every pool worker, monitor drain task, and
 #           background compaction pass the suites spin up. The `crash`
 #           label is excluded -- its fork()-after-threads matrix is
-#           undefined under TSan's runtime.
+#           undefined under TSan's runtime. The monitor, ingest,
+#           push-source and concurrency suites then run again, 20 times
+#           each (ctest --repeat until-fail:20).
 #   --tidy: the static-analysis gate. Three stages:
 #             1. kav-lint (tools/kav_lint.py): repo invariants --
 #                wire-format encoding discipline, no naked new, metric
@@ -119,6 +121,10 @@ if [[ "$TSAN" == 1 ]]; then
   export KAV_FUZZ_TRIALS="${KAV_FUZZ_TRIALS:-5}"
   export KAV_FUZZ_OPS="${KAV_FUZZ_OPS:-50000}"
   ctest --test-dir "$BUILD_DIR" -L 'unit|fuzz' --output-on-failure -j "$(nproc)"
+  # The monitor's inbox swap and the push source's batched handoff are
+  # interleavings one pass can miss: repeat their suites.
+  ctest --test-dir "$BUILD_DIR" -R 'Monitor|Ingest|EngineSource|Concurrency' \
+    --repeat until-fail:20 --output-on-failure -j "$(nproc)"
   exit 0
 fi
 

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -356,48 +357,47 @@ bool is_skip_reason(const Verdict& verdict, std::string* reason) {
 
 // Shared run-control scaffolding for every source-consuming loop.
 constexpr std::chrono::milliseconds kPullWait{100};
-// Deadline polls on hot item paths are amortized to one steady_clock
-// read per this many items (the cancel flag is a plain atomic load and
-// is checked every time).
-constexpr std::uint64_t kDeadlinePollMask = 255;
+// Operations taken per source pull: enough to amortize the handoff (one
+// source lock, at most one producer wake per batch), few enough that a
+// cancel or deadline still lands promptly.
+constexpr std::size_t kPullBatch = 256;
 
-// Non-empty stop reason when the run must stop now. `always_check`
-// bypasses the amortization (a pending pull already waited ~kPullWait,
-// so its clock read is free by comparison).
+// Non-empty stop reason when the run must stop now. Loops call it once
+// per batch, which amortizes the clock read.
 std::string check_stop(
     const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    bool always_check, std::uint64_t pulled, const std::string& activity) {
+    const std::string& activity) {
   if (run.cancel.cancelled()) {
     return "cancelled by caller while " + activity;
   }
-  if (deadline && (always_check || (pulled & kDeadlinePollMask) == 0) &&
-      std::chrono::steady_clock::now() >= *deadline) {
+  if (deadline && std::chrono::steady_clock::now() >= *deadline) {
     return "wall-clock deadline exceeded while " + activity;
   }
   return {};
 }
 
-// Pulls `source` dry through bounded try_next_for waits -- so a
-// blocking source (PushTraceSource) cannot starve cancellation --
-// feeding each operation to `per_item`. Returns the empty string on a
-// clean end of stream, else the stop reason.
-template <typename PerItem>
+// Pulls `source` dry in batches through bounded try_next_batch_for
+// waits -- so a blocking source (PushTraceSource) cannot starve
+// cancellation -- handing each batch to `per_batch`. The stop
+// conditions are checked after every batch, so a cancel or deadline is
+// honored within one batch. Returns the empty string on a clean end of
+// stream, else the stop reason.
+template <typename PerBatch>
 std::string drive_source(
     TraceSource& source, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const std::string& activity, PerItem&& per_item) {
-  KeyedOperation kop;
-  std::uint64_t pulled = 0;
+    const std::string& activity, PerBatch&& per_batch) {
+  std::vector<KeyedOperation> batch;
+  batch.reserve(kPullBatch);
   for (;;) {
-    const TraceSource::Pull pull = source.try_next_for(kop, kPullWait);
+    const TraceSource::Pull pull =
+        source.try_next_batch_for(batch, kPullBatch, kPullWait);
     if (pull == TraceSource::Pull::closed) return {};
     if (pull == TraceSource::Pull::item) {
-      per_item(std::move(kop));
-      ++pulled;
+      per_batch(std::span<const KeyedOperation>(batch));
     }
-    std::string stop = check_stop(
-        run, deadline, pull == TraceSource::Pull::pending, pulled, activity);
+    std::string stop = check_stop(run, deadline, activity);
     if (!stop.empty()) return stop;
   }
 }
@@ -573,8 +573,10 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
   KeyGrouper grouper = grouper_for(filter);
   const std::string stop =
       drive_source(source, run, deadline, "reading " + source.describe(),
-                   [&grouper](const KeyedOperation& kop) {
-                     grouper.add(kop.key, kop.op);
+                   [&grouper](std::span<const KeyedOperation> batch) {
+                     for (const KeyedOperation& kop : batch) {
+                       grouper.add(kop.key, kop.op);
+                     }
                    });
   KeyGroups groups = std::move(grouper).finish();
   Report report = run_specs(lazy_shards(groups), run, deadline);
@@ -603,6 +605,29 @@ MonitorOptions monitor_options_for(const EngineOptions& options,
   return monitor_options;
 }
 
+// Hands one batch to the monitor: whole when no key filter is set,
+// else only the operations of the keys the filter passes, recording
+// every key offered.
+void ingest_selected(KeyedStreamingMonitor& monitor,
+                     std::span<const KeyedOperation> batch,
+                     const KeyFilter& filter,
+                     std::set<std::string>& offered) {
+  if (!filter.active) {
+    monitor.ingest(batch);
+    return;
+  }
+  // Runs of consecutive passing operations go in as subspans, so
+  // nothing is copied.
+  std::size_t run_begin = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    offered.insert(batch[i].key);
+    if (filter.pass(batch[i].key)) continue;
+    monitor.ingest(batch.subspan(run_begin, i - run_begin));
+    run_begin = i + 1;
+  }
+  monitor.ingest(batch.subspan(run_begin));
+}
+
 // A cancelled run still finishes cleanly: what was ingested is fully
 // checked, so the partial report is sound for the prefix.
 void finish_monitor_into(KeyedStreamingMonitor& monitor, Report& report) {
@@ -620,8 +645,11 @@ void finish_monitor_into(KeyedStreamingMonitor& monitor, Report& report) {
 Report Engine::monitor(const KeyedTrace& trace, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/false);
   // Dedicated loop rather than a MemoryTraceSource: the trace is
-  // already in memory, so every operation is ingested by reference --
-  // no O(trace) copy on this (and the legacy monitor_trace) path.
+  // already in memory, so it is ingested in place, a subspan at a time
+  // -- no O(trace) copy on this (and the legacy monitor_trace) path.
+  // The stop conditions are checked after the first operation, so a
+  // run cancelled before it starts admits exactly one, and then after
+  // every kPullBatch operations, as drive_source does.
   const auto deadline = effective_deadline(run);
   const KeyFilter filter(run);
   const std::string activity =
@@ -632,15 +660,13 @@ Report Engine::monitor(const KeyedTrace& trace, const RunOptions& run) {
   {
     KeyedStreamingMonitor monitor(
         *pool_, monitor_options_for(options_, run, metrics_));
-    std::uint64_t pulled = 0;
-    for (const KeyedOperation& kop : trace.ops) {
-      if (filter.active) {
-        offered.insert(kop.key);
-        if (!filter.pass(kop.key)) continue;
-      }
-      monitor.ingest(kop);
-      ++pulled;
-      std::string stop = check_stop(run, deadline, false, pulled, activity);
+    const std::span<const KeyedOperation> ops(trace.ops);
+    for (std::size_t at = 0; at < ops.size();) {
+      const std::size_t len =
+          at == 0 ? 1 : std::min(kPullBatch, ops.size() - at);
+      ingest_selected(monitor, ops.subspan(at, len), filter, offered);
+      at += len;
+      std::string stop = check_stop(run, deadline, activity);
       if (!stop.empty()) {
         report.cancelled = true;
         report.stop_reason = std::move(stop);
@@ -666,12 +692,8 @@ Report Engine::monitor(TraceSource& source, const RunOptions& run) {
         *pool_, monitor_options_for(options_, run, metrics_));
     const std::string stop = drive_source(
         source, run, deadline, "monitoring " + source.describe(),
-        [&monitor, &filter, &offered](KeyedOperation kop) {
-          if (filter.active) {
-            offered.insert(kop.key);
-            if (!filter.pass(kop.key)) return;
-          }
-          monitor.ingest(kop);
+        [&](std::span<const KeyedOperation> batch) {
+          ingest_selected(monitor, batch, filter, offered);
         });
     if (!stop.empty()) {
       report.cancelled = true;

@@ -1,30 +1,100 @@
 #include "core/streaming.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/fzf.h"
 #include "history/anomaly.h"
-#include "history/cluster.h"
 
 namespace kav {
 
 namespace {
 
+// Per-thread scratch for flush_settled. A flush re-clusters the whole
+// window, and a monitor flushes after every drain pass, so the buffers
+// are kept and reused instead of rebuilt per flush. Checkers are not
+// thread-safe and a flush never re-enters itself (FZF does not call
+// back), so one set per thread serves every checker that thread runs.
+//
+// Clustering is sort-based: every window position becomes a Slot, and
+// sorting the slots by (value, writes first, position) lays each
+// value's cluster out contiguously -- its first write is the cluster's
+// write, later writes are duplicates, and the reads follow in window
+// order. Positions are 32-bit (flush_settled checks the window size).
+struct Slot {
+  Value value = 0;
+  std::uint32_t pos = 0;
+  bool read = false;
+
+  bool operator<(const Slot& other) const {
+    if (value != other.value) return value < other.value;
+    if (read != other.read) return !read;  // writes first
+    return pos < other.pos;
+  }
+};
+
 // Raw (pre-normalization) zone of a cluster given window positions.
 struct RawCluster {
-  std::size_t write_pos = 0;
-  std::vector<std::size_t> read_pos;
+  std::uint32_t write_pos = 0;
+  std::uint32_t reads_begin = 0;  // slots[reads_begin, reads_end): reads
+  std::uint32_t reads_end = 0;
   TimePoint min_finish = kTimeMax;
   TimePoint max_start = kTimeMin;
   bool settled = false;  // no further reads can arrive
+  bool attached = false;  // backward cluster inside a forward run
+  bool read_before_write = false;  // a read finishes before the write starts
 
   TimePoint low() const { return std::min(min_finish, max_start); }
   TimePoint high() const { return std::max(min_finish, max_start); }
   bool forward() const { return min_finish < max_start; }
 };
+
+// A maximal run of overlapping forward zones: forward[f_begin, f_end)
+// are its members, and backward[b_begin, b_end) the backward clusters
+// whose low falls in it (those with `attached` set are inside it).
+struct Run {
+  TimePoint lo = 0;
+  TimePoint hi = 0;
+  std::uint32_t f_begin = 0;
+  std::uint32_t f_end = 0;
+  std::uint32_t b_begin = 0;
+  std::uint32_t b_end = 0;
+  bool all_settled = true;
+};
+
+struct FlushScratch {
+  std::vector<Slot> slots;
+  std::vector<RawCluster> clusters;
+  std::vector<std::uint32_t> duplicate_writes;  // window positions
+  std::vector<std::uint32_t> unmatched_reads;   // window positions
+  std::vector<std::uint32_t> forward;           // cluster indices
+  std::vector<std::uint32_t> backward;          // cluster indices
+  std::vector<Run> runs;
+  std::vector<char> evict;
+  std::vector<Operation> chunk;
+};
+
+thread_local FlushScratch t_scratch;
+
+// Scratch for a window of at most this many operations (~2.4 MB) stays
+// allocated between flushes; a flush of a larger window releases its
+// scratch when it ends. Every scratch vector holds at most one entry
+// per window operation, so `slots` bounds them all.
+constexpr std::size_t kRetainedScratchOps = std::size_t{1} << 14;
+
+// Evicted write values left unmerged before flush_settled merges them,
+// while the merged prefix is smaller than this.
+constexpr std::size_t kUnmergedEvictions = 1'024;
+
+// A write that finished below this line can gain no more reads:
+// (watermark - horizon), saturating, and +infinity once finish() runs.
+TimePoint settle_threshold(TimePoint watermark, TimePoint horizon) {
+  if (watermark == kTimeMax) return kTimeMax;
+  return watermark <= kTimeMin + horizon ? kTimeMin : watermark - horizon;
+}
 
 }  // namespace
 
@@ -63,12 +133,31 @@ Verdict StreamingChecker::finish() {
 
 void StreamingChecker::reset() {
   window_.clear();
-  evicted_write_values_.clear();
+  evicted_values_.clear();
+  evicted_sorted_ = 0;
   violations_.clear();
   stats_ = StreamingStats{};
   watermark_ = kTimeMin;
   min_window_finish_ = kTimeMax;
   finished_ = false;
+}
+
+void StreamingChecker::merge_evicted() {
+  const auto sorted_end =
+      evicted_values_.begin() + static_cast<std::ptrdiff_t>(evicted_sorted_);
+  std::sort(sorted_end, evicted_values_.end());
+  std::inplace_merge(evicted_values_.begin(), sorted_end,
+                     evicted_values_.end());
+  evicted_values_.erase(
+      std::unique(evicted_values_.begin(), evicted_values_.end()),
+      evicted_values_.end());
+  evicted_sorted_ = evicted_values_.size();
+}
+
+bool StreamingChecker::was_evicted(Value value) {
+  if (evicted_sorted_ < evicted_values_.size()) merge_evicted();
+  return std::binary_search(evicted_values_.begin(), evicted_values_.end(),
+                            value);
 }
 
 void StreamingChecker::flush_settled(TimePoint settled_before) {
@@ -80,45 +169,67 @@ void StreamingChecker::flush_settled(TimePoint settled_before) {
   // deferred to the next effective flush or finish(), which always runs
   // with an infinite watermark). Keeps advance_watermark O(1) when the
   // window is young.
-  const TimePoint cheap_threshold =
-      watermark_ == kTimeMax
-          ? kTimeMax
-          : (watermark_ <= kTimeMin + options_.staleness_horizon
-                 ? kTimeMin
-                 : watermark_ - options_.staleness_horizon);
-  if (min_window_finish_ >= cheap_threshold) return;
+  const TimePoint threshold =
+      settle_threshold(watermark_, options_.staleness_horizon);
+  if (min_window_finish_ >= threshold) return;
+
+  FlushScratch& s = t_scratch;
+  const std::size_t n = window_.size();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("StreamingChecker: window exceeds 2^32 operations");
+  }
 
   // --- Cluster the window by value (raw times). -----------------------
-  std::unordered_map<Value, RawCluster> clusters;
-  std::vector<std::size_t> unmatched_reads;
-  std::unordered_set<Value> window_write_values;
-  for (std::size_t pos = 0; pos < window_.size(); ++pos) {
+  s.slots.clear();
+  for (std::size_t pos = 0; pos < n; ++pos) {
     const Operation& op = window_[pos];
-    if (!op.is_write()) continue;
-    auto [it, inserted] = clusters.try_emplace(op.value);
-    if (!inserted) {
-      violations_.push_back(
-          {StreamingViolation::Kind::hard_anomaly, watermark_,
-           "duplicate write value " + std::to_string(op.value) +
-               " in window"});
-      continue;  // later duplicate ignored; first write keeps the value
-    }
-    window_write_values.insert(op.value);
-    it->second.write_pos = pos;
-    it->second.min_finish = op.finish;
-    it->second.max_start = op.start;
+    s.slots.push_back(
+        {op.value, static_cast<std::uint32_t>(pos), op.is_read()});
   }
-  for (std::size_t pos = 0; pos < window_.size(); ++pos) {
-    const Operation& op = window_[pos];
-    if (!op.is_read()) continue;
-    auto it = clusters.find(op.value);
-    if (it == clusters.end()) {
-      unmatched_reads.push_back(pos);
-      continue;
+  std::sort(s.slots.begin(), s.slots.end());
+  s.clusters.clear();
+  s.duplicate_writes.clear();
+  s.unmatched_reads.clear();
+  for (std::size_t i = 0; i < s.slots.size();) {
+    std::size_t j = i;
+    while (j < s.slots.size() && s.slots[j].value == s.slots[i].value) ++j;
+    std::size_t reads = i;
+    while (reads < j && !s.slots[reads].read) ++reads;
+    if (reads == i) {
+      // No write holds this value: every read of it is unmatched.
+      for (std::size_t r = i; r < j; ++r) {
+        s.unmatched_reads.push_back(s.slots[r].pos);
+      }
+    } else {
+      // The first write (window order) keeps the value; later
+      // duplicates are reported and left out of every cluster.
+      for (std::size_t w = i + 1; w < reads; ++w) {
+        s.duplicate_writes.push_back(s.slots[w].pos);
+      }
+      const Operation& w = window_[s.slots[i].pos];
+      RawCluster cluster;
+      cluster.write_pos = s.slots[i].pos;
+      cluster.reads_begin = static_cast<std::uint32_t>(reads);
+      cluster.reads_end = static_cast<std::uint32_t>(j);
+      cluster.min_finish = w.finish;
+      cluster.max_start = w.start;
+      for (std::size_t r = reads; r < j; ++r) {
+        const Operation& op = window_[s.slots[r].pos];
+        cluster.min_finish = std::min(cluster.min_finish, op.finish);
+        cluster.max_start = std::max(cluster.max_start, op.start);
+        cluster.read_before_write |= op.precedes(w);
+      }
+      s.clusters.push_back(cluster);
     }
-    it->second.read_pos.push_back(pos);
-    it->second.min_finish = std::min(it->second.min_finish, op.finish);
-    it->second.max_start = std::max(it->second.max_start, op.start);
+    i = j;
+  }
+  // Duplicates are reported in window order.
+  std::sort(s.duplicate_writes.begin(), s.duplicate_writes.end());
+  for (std::uint32_t pos : s.duplicate_writes) {
+    violations_.push_back(
+        {StreamingViolation::Kind::hard_anomaly, watermark_,
+         "duplicate write value " + std::to_string(window_[pos].value) +
+             " in window"});
   }
 
   // --- Settlement line. ------------------------------------------------
@@ -128,15 +239,8 @@ void StreamingChecker::flush_settled(TimePoint settled_before) {
   // minimum zone-low among unsettled clusters (zone lows never sink),
   // so anything wholly below `settle_line` is immutable.
   TimePoint settle_line = std::min(settled_before, watermark_);
-  const TimePoint settle_threshold =
-      watermark_ == kTimeMax
-          ? kTimeMax
-          : (watermark_ <= kTimeMin + options_.staleness_horizon
-                 ? kTimeMin
-                 : watermark_ - options_.staleness_horizon);
-  for (auto& [value, cluster] : clusters) {
-    const Operation& w = window_[cluster.write_pos];
-    cluster.settled = w.finish < settle_threshold;
+  for (RawCluster& cluster : s.clusters) {
+    cluster.settled = window_[cluster.write_pos].finish < threshold;
     if (!cluster.settled) {
       settle_line = std::min(settle_line, cluster.low());
     }
@@ -146,11 +250,13 @@ void StreamingChecker::flush_settled(TimePoint settled_before) {
   // A read whose dictating write is absent and which finished before the
   // watermark can never be matched (a future write would start after the
   // read finished, i.e. the read would precede its dictating write).
-  std::vector<char> evict(window_.size(), 0);
-  for (std::size_t pos : unmatched_reads) {
+  // Reported in window order.
+  s.evict.assign(n, 0);
+  std::sort(s.unmatched_reads.begin(), s.unmatched_reads.end());
+  for (std::uint32_t pos : s.unmatched_reads) {
     const Operation& r = window_[pos];
     if (r.finish >= watermark_) continue;  // its write may still arrive
-    const bool horizon = evicted_write_values_.count(r.value) > 0;
+    const bool horizon = was_evicted(r.value);
     violations_.push_back(
         {horizon ? StreamingViolation::Kind::horizon_exceeded
                  : StreamingViolation::Kind::hard_anomaly,
@@ -158,106 +264,164 @@ void StreamingChecker::flush_settled(TimePoint settled_before) {
          (horizon ? "read exceeded the staleness horizon: value "
                   : "read without dictating write: value ") +
              std::to_string(r.value)});
-    evict[pos] = 1;
+    s.evict[pos] = 1;
   }
 
   // --- Chunk runs over settled forward zones. ---------------------------
   // Sort forward zones by low endpoint and merge transitive overlaps
   // (Stage 1 of FZF on the window). Only runs lying wholly below the
   // settle line with every member cluster settled are final.
-  std::vector<const RawCluster*> forward;
-  std::vector<const RawCluster*> backward;
-  for (const auto& [value, cluster] : clusters) {
-    (cluster.forward() ? forward : backward).push_back(&cluster);
+  s.forward.clear();
+  s.backward.clear();
+  for (std::uint32_t c = 0; c < s.clusters.size(); ++c) {
+    (s.clusters[c].forward() ? s.forward : s.backward).push_back(c);
   }
-  auto by_low = [](const RawCluster* a, const RawCluster* b) {
-    return a->low() != b->low() ? a->low() < b->low()
-                                : a->write_pos < b->write_pos;
+  const auto by_low = [&s](std::uint32_t a, std::uint32_t b) {
+    const RawCluster& ca = s.clusters[a];
+    const RawCluster& cb = s.clusters[b];
+    return ca.low() != cb.low() ? ca.low() < cb.low()
+                                : ca.write_pos < cb.write_pos;
   };
-  std::sort(forward.begin(), forward.end(), by_low);
-  std::sort(backward.begin(), backward.end(), by_low);
+  std::sort(s.forward.begin(), s.forward.end(), by_low);
+  std::sort(s.backward.begin(), s.backward.end(), by_low);
 
-  struct Run {
-    TimePoint lo, hi;
-    std::vector<const RawCluster*> members;
-    bool all_settled = true;
-  };
-  std::vector<Run> runs;
-  for (const RawCluster* cluster : forward) {
-    if (!runs.empty() && cluster->low() < runs.back().hi) {
-      runs.back().hi = std::max(runs.back().hi, cluster->high());
-      runs.back().members.push_back(cluster);
-      runs.back().all_settled &= cluster->settled;
+  s.runs.clear();
+  for (std::uint32_t i = 0; i < s.forward.size(); ++i) {
+    const RawCluster& cluster = s.clusters[s.forward[i]];
+    if (!s.runs.empty() && cluster.low() < s.runs.back().hi) {
+      Run& run = s.runs.back();
+      run.hi = std::max(run.hi, cluster.high());
+      run.f_end = i + 1;
+      run.all_settled &= cluster.settled;
     } else {
-      runs.push_back(
-          {cluster->low(), cluster->high(), {cluster}, cluster->settled});
+      s.runs.push_back(
+          {cluster.low(), cluster.high(), i, i + 1, 0, 0, cluster.settled});
     }
   }
-  // Attach contained backward clusters; the rest dangle.
-  std::vector<const RawCluster*> dangling;
-  for (const RawCluster* cluster : backward) {
-    auto it = std::upper_bound(
-        runs.begin(), runs.end(), cluster->low(),
-        [](TimePoint t, const Run& run) { return t < run.lo; });
-    if (it != runs.begin() && (it - 1)->lo < cluster->low() &&
-        cluster->high() < (it - 1)->hi) {
-      (it - 1)->members.push_back(cluster);
-      (it - 1)->all_settled &= cluster->settled;
-    } else {
-      dangling.push_back(cluster);
+  // Attach contained backward clusters; the rest dangle. Run lows
+  // strictly increase and backward clusters come in low order, so each
+  // one's candidate run (the last with lo <= its low) only moves right.
+  std::size_t candidate = 0;  // runs before this index have lo <= low
+  for (std::uint32_t i = 0; i < s.backward.size(); ++i) {
+    RawCluster& cluster = s.clusters[s.backward[i]];
+    while (candidate < s.runs.size() &&
+           s.runs[candidate].lo <= cluster.low()) {
+      Run& run = s.runs[candidate];
+      run.b_begin = run.b_end = i;
+      ++candidate;
+    }
+    if (candidate == 0) continue;
+    Run& run = s.runs[candidate - 1];
+    run.b_end = i + 1;
+    if (run.lo < cluster.low() && cluster.high() < run.hi) {
+      cluster.attached = true;
+      run.all_settled &= cluster.settled;
     }
   }
 
   // --- Verify and evict final chunks. ------------------------------------
-  for (const Run& run : runs) {
+  const auto evict_cluster = [this, &s](const RawCluster& cluster) {
+    s.evict[cluster.write_pos] = 1;
+    evicted_values_.push_back(window_[cluster.write_pos].value);
+    for (std::uint32_t r = cluster.reads_begin; r < cluster.reads_end; ++r) {
+      s.evict[s.slots[r].pos] = 1;
+    }
+  };
+  bool read_before_write = false;
+  const auto append_cluster = [this, &s,
+                               &read_before_write](const RawCluster& cluster) {
+    s.chunk.push_back(window_[cluster.write_pos]);
+    for (std::uint32_t r = cluster.reads_begin; r < cluster.reads_end; ++r) {
+      s.chunk.push_back(window_[s.slots[r].pos]);
+    }
+    read_before_write |= cluster.read_before_write;
+  };
+  for (const Run& run : s.runs) {
     if (!run.all_settled || run.hi >= settle_line) continue;
-    std::vector<Operation> chunk_ops;
-    for (const RawCluster* cluster : run.members) {
-      chunk_ops.push_back(window_[cluster->write_pos]);
-      for (std::size_t pos : cluster->read_pos) {
-        chunk_ops.push_back(window_[pos]);
-      }
+    // Member order -- forward zones by low, then the attached backward
+    // ones by low, each write before its reads -- fixes the chunk's op
+    // ids, which verdict reasons cite.
+    s.chunk.clear();
+    read_before_write = false;
+    for (std::uint32_t i = run.f_begin; i < run.f_end; ++i) {
+      append_cluster(s.clusters[s.forward[i]]);
     }
-    const History chunk_history = normalize(History(std::move(chunk_ops)));
-    const Verdict verdict = check_2atomicity_fzf(chunk_history);
-    ++stats_.chunks_verified;
-    if (!verdict.yes()) {
-      violations_.push_back(
-          {StreamingViolation::Kind::not_2atomic, watermark_,
-           "settled chunk over [" + std::to_string(run.lo) + ", " +
-               std::to_string(run.hi) + "] is not 2-atomic: " +
-               verdict.reason});
+    for (std::uint32_t i = run.b_begin; i < run.b_end; ++i) {
+      const RawCluster& cluster = s.clusters[s.backward[i]];
+      if (cluster.attached) append_cluster(cluster);
     }
-    for (const RawCluster* cluster : run.members) {
-      evict[cluster->write_pos] = 1;
-      evicted_write_values_.insert(window_[cluster->write_pos].value);
-      for (std::size_t pos : cluster->read_pos) evict[pos] = 1;
+    check_chunk(run.lo, run.hi, s.chunk, read_before_write);
+    for (std::uint32_t i = run.f_begin; i < run.f_end; ++i) {
+      evict_cluster(s.clusters[s.forward[i]]);
+    }
+    for (std::uint32_t i = run.b_begin; i < run.b_end; ++i) {
+      const RawCluster& cluster = s.clusters[s.backward[i]];
+      if (cluster.attached) evict_cluster(cluster);
     }
   }
 
   // Settled dangling backward clusters below the settle line are
   // trivially 2-atomic in isolation (Lemma 4.1's concatenation).
-  for (const RawCluster* cluster : dangling) {
-    if (!cluster->settled || cluster->high() >= settle_line) continue;
+  for (std::uint32_t c : s.backward) {
+    const RawCluster& cluster = s.clusters[c];
+    if (cluster.attached || !cluster.settled ||
+        cluster.high() >= settle_line) {
+      continue;
+    }
     ++stats_.dangling_clusters;
-    evict[cluster->write_pos] = 1;
-    evicted_write_values_.insert(window_[cluster->write_pos].value);
-    for (std::size_t pos : cluster->read_pos) evict[pos] = 1;
+    evict_cluster(cluster);
   }
 
-  // --- Compact the window. ------------------------------------------------
-  std::vector<Operation> remaining;
-  remaining.reserve(window_.size());
+  // --- Compact the window in place. ----------------------------------------
+  std::size_t kept = 0;
   min_window_finish_ = kTimeMax;
-  for (std::size_t pos = 0; pos < window_.size(); ++pos) {
-    if (evict[pos]) {
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    if (s.evict[pos]) {
       ++stats_.operations_evicted;
-    } else {
-      min_window_finish_ = std::min(min_window_finish_, window_[pos].finish);
-      remaining.push_back(window_[pos]);
+      continue;
     }
+    min_window_finish_ = std::min(min_window_finish_, window_[pos].finish);
+    window_[kept++] = window_[pos];
   }
-  window_ = std::move(remaining);
+  window_.resize(kept);
+
+  // Amortized: the tail is merged once it outgrows the merged prefix.
+  const std::size_t unmerged = evicted_values_.size() - evicted_sorted_;
+  if (unmerged > std::max(evicted_sorted_, kUnmergedEvictions)) {
+    merge_evicted();
+  }
+  // A large window (a long horizon, a backlog) must not pin its
+  // scratch on this thread for good.
+  if (s.slots.capacity() > kRetainedScratchOps) s = FlushScratch{};
+}
+
+void StreamingChecker::check_chunk(TimePoint lo, TimePoint hi,
+                                   const std::vector<Operation>& ops,
+                                   bool read_before_write) {
+  ++stats_.chunks_verified;
+  const History raw(ops);
+  // A read that precedes its dictating write settles like any other
+  // cluster but cannot be normalized: report it once and let the chunk
+  // go, so the window keeps compacting. Each read shares its chunk with
+  // its write and values are unique per chunk, so find_anomalies can
+  // only find this anomaly here and runs only when a cluster flagged it.
+  std::vector<Anomaly> hard;
+  if (read_before_write) hard = find_anomalies(raw).hard_anomalies();
+  const auto span = [lo, hi] {
+    return "settled chunk over [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "]";
+  };
+  if (!hard.empty()) {
+    violations_.push_back(
+        {StreamingViolation::Kind::hard_anomaly, watermark_,
+         span() + " has a hard anomaly: " + describe(hard.front(), raw)});
+    return;
+  }
+  const Verdict verdict = check_2atomicity_fzf(normalize(raw));
+  if (!verdict.yes()) {
+    violations_.push_back({StreamingViolation::Kind::not_2atomic, watermark_,
+                           span() + " is not 2-atomic: " + verdict.reason});
+  }
 }
 
 }  // namespace kav

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/verdict.h"
@@ -54,7 +53,9 @@ struct StreamingViolation {
   enum class Kind : unsigned char {
     not_2atomic,        // a settled chunk failed Stage 2
     horizon_exceeded,   // read of an already-evicted write
-    hard_anomaly,       // e.g. read without dictating write at flush
+    hard_anomaly,       // read without dictating write, duplicate write
+                        // value, or a settled chunk whose read precedes
+                        // its write
     late_arrival,       // ingest: arrival beyond the reorder slack
                         // (reported by ingest/keyed_monitor.h, never by
                         // StreamingChecker itself)
@@ -95,13 +96,36 @@ class StreamingChecker {
   }
   const StreamingStats& stats() const { return stats_; }
   std::size_t window_size() const { return window_.size(); }
+  // Evicted write values remembered for horizon diagnostics: each
+  // distinct value once, plus a not-yet-merged tail no longer than the
+  // merged part (or a small constant).
+  std::size_t remembered_evicted_values() const {
+    return evicted_values_.size();
+  }
 
  private:
   void flush_settled(TimePoint settled_before);
+  // Verifies one final chunk (its ops in member order) and records a
+  // not_2atomic or hard_anomaly finding for it. `read_before_write`:
+  // some read in the chunk finishes before its write starts, the only
+  // hard anomaly a chunk of whole clusters can hold.
+  void check_chunk(TimePoint lo, TimePoint hi,
+                   const std::vector<Operation>& ops, bool read_before_write);
+  // Whether a write of `value` was ever evicted (horizon diagnostics).
+  bool was_evicted(Value value);
+  // Sorts the unmerged tail of evicted_values_ into the sorted prefix
+  // and drops duplicates.
+  void merge_evicted();
 
   StreamingOptions options_;
   std::vector<Operation> window_;
-  std::unordered_set<Value> evicted_write_values_;  // horizon diagnostics
+  // Values of evicted writes, for horizon diagnostics: appended on
+  // eviction and merged (deduplicated) into the sorted prefix
+  // [0, evicted_sorted_) when a lookup needs it or the tail outgrows
+  // the prefix, so evictions never allocate per value and a key that
+  // rewrites a few values keeps a few entries.
+  std::vector<Value> evicted_values_;
+  std::size_t evicted_sorted_ = 0;
   std::vector<StreamingViolation> violations_;
   StreamingStats stats_;
   TimePoint watermark_ = kTimeMin;

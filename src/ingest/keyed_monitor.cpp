@@ -95,6 +95,7 @@ std::string MonitorReport::summary() const {
 
 KeyedStreamingMonitor::KeyedStreamingMonitor(const MonitorOptions& options)
     : options_(options),
+      inbox_capacity_(std::max<std::size_t>(1, options.queue_capacity)),
       metrics_(std::make_unique<Metrics>(
           options.metrics != nullptr ? *options.metrics
                                      : obs::MetricsRegistry::global())),
@@ -105,6 +106,7 @@ KeyedStreamingMonitor::KeyedStreamingMonitor(const MonitorOptions& options)
 KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
                                              const MonitorOptions& options)
     : options_(options),
+      inbox_capacity_(std::max<std::size_t>(1, options.queue_capacity)),
       metrics_(std::make_unique<Metrics>(
           options.metrics != nullptr ? *options.metrics
                                      : obs::MetricsRegistry::global())),
@@ -159,11 +161,60 @@ KeyedStreamingMonitor::KeyState& KeyedStreamingMonitor::state_for(
 
 void KeyedStreamingMonitor::ingest(const std::string& key,
                                    const Operation& op) {
+  ingest(KeyedOperation{key, op});
+}
+
+void KeyedStreamingMonitor::ingest(const KeyedOperation& kop) {
+  ingest(std::span<const KeyedOperation>(&kop, 1));
+}
+
+void KeyedStreamingMonitor::ingest(std::span<const KeyedOperation> batch) {
   if (finished_.load(std::memory_order_acquire)) {
     throw std::logic_error("KeyedStreamingMonitor::ingest after finish()");
   }
-  KeyState& state = state_for(key);
-  state.queue.push(op);  // blocks when full: backpressure
+  std::vector<KeyState*> claimed;
+  try {
+    for (const KeyedOperation& kop : batch) {
+      KeyState& state = state_for(kop.key);
+      append(state, kop.op, claimed);
+      if (account_and_claim(state, kop.op)) claimed.push_back(&state);
+    }
+  } catch (...) {
+    // No task will drain these keys: give their claims back so a later
+    // ingest can schedule them.
+    for (KeyState* state : claimed) {
+      state->scheduled.store(false, std::memory_order_release);
+    }
+    throw;
+  }
+  post_drains(claimed);
+}
+
+void KeyedStreamingMonitor::append(KeyState& state, const Operation& op,
+                                   std::vector<KeyState*>& unposted) {
+  for (;;) {
+    {
+      util::MutexLock lock(state.inbox_mutex);
+      if (state.inbox.size() < inbox_capacity_ || unposted.empty()) {
+        while (state.inbox.size() >= inbox_capacity_) {  // backpressure
+          ++state.blocked_producers;
+          state.inbox_not_full.wait(state.inbox_mutex);
+          --state.blocked_producers;
+        }
+        state.inbox.push_back(op);
+        return;
+      }
+    }
+    // The inbox is full and this producer holds claims it has not
+    // posted -- possibly this very key's. Post them before blocking.
+    std::vector<KeyState*> pending;
+    pending.swap(unposted);
+    post_drains(pending);
+  }
+}
+
+bool KeyedStreamingMonitor::account_and_claim(KeyState& state,
+                                              const Operation& op) {
   state.ingested.fetch_add(1, std::memory_order_relaxed);
   state.backlog.fetch_add(1, std::memory_order_relaxed);
   metrics_->ops_ingested.add(1);
@@ -178,39 +229,64 @@ void KeyedStreamingMonitor::ingest(const std::string& key,
          !state.oldest_start.compare_exchange_weak(
              seen, op.start, std::memory_order_relaxed)) {
   }
-  // Claim the drainer role for this key if nobody holds it. The drain
-  // task re-checks the queue after releasing the role, so an arrival
-  // that lands between its last pop and the release is never stranded.
-  if (!state.scheduled.exchange(true, std::memory_order_acq_rel)) {
+  // The drain task re-checks the inbox after releasing the role, so an
+  // arrival that lands between its last swap and the release is never
+  // stranded.
+  return !state.scheduled.exchange(true, std::memory_order_acq_rel);
+}
+
+void KeyedStreamingMonitor::post_drains(std::span<KeyState* const> claimed) {
+  if (claimed.empty()) return;
+  const std::size_t tasks = std::min(claimed.size(), pool_->thread_count());
+  {
+    util::MutexLock lock(drains_mutex_);
+    active_drains_ += tasks;
+  }
+  std::size_t posted = 0;
+  try {
+    for (; posted < tasks; ++posted) {
+      // Task `posted` drains claimed[begin, end), linked in order.
+      const std::size_t begin = claimed.size() * posted / tasks;
+      const std::size_t end = claimed.size() * (posted + 1) / tasks;
+      for (std::size_t i = begin; i < end; ++i) {
+        claimed[i]->next_in_task = i + 1 < end ? claimed[i + 1] : nullptr;
+      }
+      pool_->post([this, first = claimed[begin]] { drain_task(first); });
+    }
+  } catch (...) {
+    // post() can throw (e.g. a borrowed pool already shut down by its
+    // owner). Undo what no task will run for: the claims, so a later
+    // ingest can schedule those keys, and the in-flight count, so the
+    // destructor's quiesce() does not wait forever.
+    for (std::size_t i = claimed.size() * posted / tasks; i < claimed.size();
+         ++i) {
+      claimed[i]->scheduled.store(false, std::memory_order_release);
+    }
     {
       util::MutexLock lock(drains_mutex_);
-      ++active_drains_;
+      active_drains_ -= tasks - posted;
+      drains_cv_.notify_all();
     }
-    try {
-      pool_->submit([this, &state] { drain(state); });
-    } catch (...) {
-      // submit() can throw (e.g. a borrowed pool already shut down by
-      // its owner). Undo the claim: no drain task will ever run to
-      // decrement the counter or release the drainer role, and the
-      // destructor's quiesce() must not wait forever on it.
-      {
-        util::MutexLock lock(drains_mutex_);
-        --active_drains_;
-        drains_cv_.notify_all();
-      }
-      state.scheduled.store(false, std::memory_order_release);
-      throw;
-    }
+    throw;
   }
 }
 
-void KeyedStreamingMonitor::ingest(const KeyedOperation& kop) {
-  ingest(kop.key, kop.op);
+void KeyedStreamingMonitor::take_inbox(KeyState& state,
+                                       std::vector<Operation>& batch) {
+  {
+    util::MutexLock lock(state.inbox_mutex);
+    batch.swap(state.inbox);
+    // One wake per batch, and only when a producer is blocked.
+    if (state.blocked_producers > 0 && !batch.empty()) {
+      state.inbox_not_full.notify_all();
+    }
+  }
+  const auto taken = static_cast<std::int64_t>(batch.size());
+  state.backlog.fetch_sub(taken, std::memory_order_relaxed);
+  metrics_->queue_backlog.sub(taken);
 }
 
 void KeyedStreamingMonitor::process_one(KeyState& state, const Operation& op) {
-  state.backlog.fetch_sub(1, std::memory_order_relaxed);
-  metrics_->queue_backlog.sub(1);
   if (!state.reorder.push(op)) {
     metrics_->late_arrivals.add(1);
     state.extra_violations.push_back(
@@ -290,7 +366,7 @@ void KeyedStreamingMonitor::update_key_metrics(KeyState& state) {
   }
 }
 
-void KeyedStreamingMonitor::drain(KeyState& state) {
+void KeyedStreamingMonitor::drain_task(KeyState* first) {
   // The in-flight count must drop on EVERY exit path, exceptional ones
   // included -- a leaked increment would hang the destructor's
   // quiesce() forever. Notify while still holding the mutex: quiesce()
@@ -305,48 +381,81 @@ void KeyedStreamingMonitor::drain(KeyState& state) {
       self->drains_cv_.notify_all();
     }
   } guard{this};
-
-  try {
-    for (;;) {
-      // Nothing may escape this loop: the task's future is discarded,
-      // and an unwound drain would leave `scheduled` stuck true -- no
-      // later ingest would ever schedule another drainer, wedging the
-      // key and deadlocking producers on its full queue. Failures
-      // become hard_anomaly findings instead.
-      try {
-        util::MutexLock lock(state.process_mutex);
-        Operation op;
-        bool any = false;
-        while (state.queue.try_pop(op)) {
-          process_one(state, op);
-          any = true;
-        }
-        if (any) {
-          state.checker.advance_watermark(state.reorder.watermark());
-          emit_new_violations(state);  // violations found while settling
-        }
-        state.peak_window =
-            std::max(state.peak_window,
-                     state.checker.window_size() + state.reorder.pending());
-        update_key_metrics(state);
-      } catch (const std::exception& e) {
-        util::MutexLock lock(state.process_mutex);
-        state.extra_violations.push_back(
-            {StreamingViolation::Kind::hard_anomaly, state.reorder.watermark(),
-             std::string("monitor drain failed: ") + e.what()});
+  KeyState* tail = first;
+  while (tail->next_in_task != nullptr) tail = tail->next_in_task;
+  for (KeyState* state = first; state != nullptr;) {
+    // Read before drain() gives the claim up: the key may be claimed
+    // and linked into another task right after.
+    KeyState* next = state->next_in_task;
+    if (drain(*state)) {
+      // Arrivals landed during the pass and the claim was kept: queue
+      // the key behind the rest of this task, so one busy key cannot
+      // starve the others.
+      state->next_in_task = nullptr;
+      if (next == nullptr) {
+        next = state;
+      } else {
+        tail->next_in_task = state;
       }
-      state.scheduled.store(false, std::memory_order_release);
-      if (state.queue.empty()) break;
-      // An arrival slipped in after the final pop; re-claim the drainer
-      // role unless its producer already scheduled a successor.
-      if (state.scheduled.exchange(true, std::memory_order_acq_rel)) break;
+      tail = state;
     }
+    state = next;
+  }
+}
+
+bool KeyedStreamingMonitor::drain(KeyState& state) {
+  // The drainer's batch buffer, one per worker thread: it swaps places
+  // with a key's inbox, so the key is left an empty buffer with spare
+  // capacity and no key keeps a second one. A buffer grown by a
+  // backlog is released after use rather than passed on.
+  constexpr std::size_t kRetainedBatchCapacity = 32;
+  thread_local std::vector<Operation> batch;
+  try {
+    // Nothing may escape a pass: a posted task has no future, and an
+    // unwound drain would leave `scheduled` stuck true -- no later
+    // ingest would ever schedule another drainer, wedging the key and
+    // deadlocking producers on its full inbox. Failures become
+    // hard_anomaly findings instead.
+    try {
+      util::MutexLock lock(state.process_mutex);
+      take_inbox(state, batch);
+      // After finish() the inbox stays empty and the checker must not
+      // be touched again.
+      if (!batch.empty()) {
+        for (const Operation& op : batch) process_one(state, op);
+        state.checker.advance_watermark(state.reorder.watermark());
+        emit_new_violations(state);  // violations found while settling
+      }
+      state.peak_window =
+          std::max(state.peak_window,
+                   state.checker.window_size() + state.reorder.pending());
+      update_key_metrics(state);
+    } catch (const std::exception& e) {
+      util::MutexLock lock(state.process_mutex);
+      state.extra_violations.push_back(
+          {StreamingViolation::Kind::hard_anomaly, state.reorder.watermark(),
+           std::string("monitor drain failed: ") + e.what()});
+    }
+    batch.clear();
+    if (batch.capacity() > kRetainedBatchCapacity) {
+      std::vector<Operation>().swap(batch);
+    }
+    state.scheduled.store(false, std::memory_order_release);
+    {
+      util::MutexLock lock(state.inbox_mutex);
+      if (state.inbox.empty()) return false;
+    }
+    // An arrival slipped in after the swap; re-claim the drainer role
+    // unless its producer already scheduled a successor.
+    return !state.scheduled.exchange(true, std::memory_order_acq_rel);
   } catch (...) {
     // Last resort: even the recorder threw (bad_alloc building the
     // finding, or a non-std exception out of the user's on_violation
     // sink). Nothing sane can be recorded; release the drainer role so
     // a later ingest can reschedule instead of wedging the key.
+    batch.clear();
     state.scheduled.store(false, std::memory_order_release);
+    return false;
   }
 }
 
@@ -363,11 +472,14 @@ MonitorReport KeyedStreamingMonitor::finish() {
   }
 
   MonitorReport report;
+  std::vector<Operation> batch;
   for (auto& [key, state] : states) {
     util::MutexLock lock(state->process_mutex);
-    Operation op;
-    while (state->queue.try_pop(op)) process_one(*state, op);
+    batch.clear();
+    take_inbox(*state, batch);
+    for (const Operation& queued : batch) process_one(*state, queued);
     state->reorder.flush();
+    Operation op;
     while (state->reorder.pop(op)) state->checker.add(op);
     state->peak_window =
         std::max(state->peak_window, state->checker.window_size());

@@ -3,12 +3,15 @@
 // Section II-B), so the monitor shards incoming operations to one
 // StreamingChecker per key; a ReorderBuffer in front of each checker
 // turns bounded arrival disorder into the watermark promise the
-// checker needs, and a bounded per-key queue decouples producers from
+// checker needs, and a bounded per-key inbox decouples producers from
 // checking while capping memory (backpressure: ingest() blocks when a
-// key's queue is full). Checking runs as tasks on a work-stealing
-// pipeline::ThreadPool -- at most one drain task per key at a time, so
-// per-key processing is serial (checkers are not thread-safe) while
-// distinct keys check in parallel.
+// key's inbox holds queue_capacity operations). Checking runs as tasks
+// posted to a work-stealing pipeline::ThreadPool -- at most one drain
+// task holds a key at a time, so per-key processing is serial (checkers
+// are not thread-safe) while distinct keys check in parallel. A drain
+// takes a key's whole inbox at once (one swap under the inbox lock) and
+// advances the checker's watermark once per batch; the batch ingest()
+// posts the keys it claims as at most one task per worker thread.
 //
 // The pool can be owned (legacy constructor) or borrowed (ThreadPool&
 // constructor): kav::Engine (core/engine.h, the library's front door)
@@ -33,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,7 +46,6 @@
 #include "history/keyed_trace.h"
 #include "ingest/reorder_buffer.h"
 #include "obs/metrics.h"
-#include "pipeline/bounded_queue.h"
 #include "pipeline/thread_pool.h"
 #include "util/thread_safety.h"
 
@@ -60,8 +63,9 @@ struct MonitorOptions {
   // Worker threads; 0 picks std::thread::hardware_concurrency().
   // Ignored when the monitor borrows a caller-provided pool.
   std::size_t threads = 0;
-  // Per-key queue capacity; a producer that outruns checking blocks
-  // here (backpressure) instead of growing an unbounded backlog.
+  // Per-key inbox capacity; a producer that outruns checking blocks
+  // here (backpressure) instead of growing an unbounded backlog. 0 is
+  // treated as 1.
   std::size_t queue_capacity = 1'024;
   // Optional live sink: invoked as violations are detected (drain time,
   // not finish time), from pool workers, serialized per key and holding
@@ -113,14 +117,20 @@ class KeyedStreamingMonitor {
   KeyedStreamingMonitor(const KeyedStreamingMonitor&) = delete;
   KeyedStreamingMonitor& operator=(const KeyedStreamingMonitor&) = delete;
 
-  // Thread-safe; blocks when the key's queue is full (backpressure).
-  // Throws std::logic_error after finish().
-  void ingest(const std::string& key, const Operation& op)
+  // Admits a batch in order. Thread-safe; blocks while an operation's
+  // key has a full inbox (backpressure). Throws std::logic_error after
+  // finish(). The drains the batch claims are posted together: at most
+  // one pool task per worker thread carries them, so a batch costs a
+  // few handoffs instead of one per key.
+  void ingest(std::span<const KeyedOperation> batch)
       KAV_EXCLUDES(keys_mutex_, drains_mutex_);
+  // A batch of one operation.
   void ingest(const KeyedOperation& kop)
       KAV_EXCLUDES(keys_mutex_, drains_mutex_);
+  void ingest(const std::string& key, const Operation& op)
+      KAV_EXCLUDES(keys_mutex_, drains_mutex_);
 
-  // Drains every queue, flushes every reorder buffer, finishes every
+  // Drains every inbox, flushes every reorder buffer, finishes every
   // checker, and returns the per-key results. Call once, from one
   // thread, after all producers have stopped.
   MonitorReport finish() KAV_EXCLUDES(keys_mutex_);
@@ -137,25 +147,36 @@ class KeyedStreamingMonitor {
   struct KeyState {
     KeyState(std::string key_name, const MonitorOptions& options)
         : key(std::move(key_name)),
-          queue(options.queue_capacity),
           reorder(options.reorder_slack),
           checker(options.streaming) {}
 
     const std::string key;
-    pipeline::BoundedQueue<Operation> queue;
     // True while a drain task is scheduled or running; together with
     // process_mutex this guarantees at most one drainer per key, so the
     // (non-thread-safe) reorder buffer and checker see serial access.
     std::atomic<bool> scheduled{false};
+    // Next key of the drain task this key is posted in. Written only by
+    // the thread that set `scheduled`, before posting, and read by the
+    // drain task before it releases `scheduled` -- the claim guards it.
+    KeyState* next_in_task = nullptr;
     std::atomic<std::int64_t> ingested{0};
     // This key's share of the kav_monitor_queue_backlog gauge (ops
-    // pushed minus ops popped), so the destructor can retire exactly
-    // what was never processed.
+    // ingested minus ops taken from the inbox), so the destructor can
+    // retire exactly what was never processed.
     std::atomic<std::int64_t> backlog{0};
     std::atomic<TimePoint> newest_start{kTimeMin};
     std::atomic<TimePoint> oldest_start{kTimeMax};
 
     util::Mutex process_mutex;
+    // Arrivals no drain task has taken yet. Producers append under
+    // inbox_mutex and block on inbox_not_full at queue_capacity; a
+    // drainer, holding process_mutex (so batches are processed in the
+    // order they were taken), swaps the whole vector out.
+    util::Mutex inbox_mutex KAV_ACQUIRED_AFTER(process_mutex);
+    util::CondVar inbox_not_full;
+    std::vector<Operation> inbox KAV_GUARDED_BY(inbox_mutex);
+    // Producers waiting on inbox_not_full; a swap signals only if any.
+    std::size_t blocked_producers KAV_GUARDED_BY(inbox_mutex) = 0;
     ReorderBuffer reorder KAV_GUARDED_BY(process_mutex);
     StreamingChecker checker KAV_GUARDED_BY(process_mutex);
     // Violations detected by the monitor layer rather than the checker:
@@ -178,7 +199,30 @@ class KeyedStreamingMonitor {
   };
 
   KeyState& state_for(const std::string& key) KAV_EXCLUDES(keys_mutex_);
-  void drain(KeyState& state) KAV_EXCLUDES(drains_mutex_);
+  // Appends `op` to the key's inbox, blocking while it is full. Claims
+  // in `unposted` (drains this producer claimed but has not posted) are
+  // posted before blocking: the full inbox may be waiting on one.
+  void append(KeyState& state, const Operation& op,
+              std::vector<KeyState*>& unposted)
+      KAV_EXCLUDES(state.inbox_mutex, drains_mutex_);
+  // Per-arrival bookkeeping after append(); true when this call claimed
+  // the drainer role (the caller then owes a post_drains()).
+  bool account_and_claim(KeyState& state, const Operation& op);
+  // Posts the claimed keys as at most thread_count() drain tasks, each
+  // draining its keys in turn. If posting fails, every claim no posted
+  // task holds is given back before the exception propagates.
+  void post_drains(std::span<KeyState* const> claimed)
+      KAV_EXCLUDES(drains_mutex_);
+  // Runs one drain task: drains each key of the list in turn.
+  void drain_task(KeyState* first) KAV_EXCLUDES(drains_mutex_);
+  // One pass over a claimed key: takes and checks its inbox, then gives
+  // the claim up -- or keeps it and returns true when arrivals landed
+  // meanwhile, so the caller drains the key again.
+  bool drain(KeyState& state);
+  // Swaps the key's inbox into `batch` (left empty before the call)
+  // and wakes producers blocked on it.
+  void take_inbox(KeyState& state, std::vector<Operation>& batch)
+      KAV_REQUIRES(state.process_mutex) KAV_EXCLUDES(state.inbox_mutex);
   // Feeds one arrival through the reorder buffer into the checker.
   void process_one(KeyState& state, const Operation& op)
       KAV_REQUIRES(state.process_mutex);
@@ -193,6 +237,7 @@ class KeyedStreamingMonitor {
   MonitorStats snapshot_totals() const KAV_EXCLUDES(keys_mutex_);
 
   MonitorOptions options_;
+  const std::size_t inbox_capacity_;
   // kav_monitor_* instruments (keyed_monitor.cpp); owned by the
   // registry in options_.metrics, not by the monitor.
   struct Metrics;

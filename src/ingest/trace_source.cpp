@@ -1,5 +1,6 @@
 #include "ingest/trace_source.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,6 +8,26 @@
 #include "store/indexed_source.h"
 
 namespace kav {
+
+// --- TraceSource -----------------------------------------------------------
+
+TraceSource::Pull TraceSource::try_next_batch_for(
+    std::vector<KeyedOperation>& out, std::size_t max,
+    std::chrono::milliseconds wait) {
+  (void)wait;
+  // Pulls straight into out's elements, so their key strings keep their
+  // capacity from batch to batch.
+  std::size_t n = 0;
+  while (n < max) {
+    if (n == out.size()) out.emplace_back();
+    if (!next(out[n])) break;
+    ++n;
+  }
+  out.resize(n);
+  // An end of stream met after some items is reported by the next call:
+  // the end is sticky (see next()).
+  return n > 0 ? Pull::item : Pull::closed;
+}
 
 // --- MemoryTraceSource -----------------------------------------------------
 
@@ -55,7 +76,11 @@ BinaryFileTraceSource::BinaryFileTraceSource(const std::string& path)
       reader_(in_) {}
 
 bool BinaryFileTraceSource::next(KeyedOperation& out) {
-  return reader_.next(out);
+  // A v2 stream ends at its footer sentinel; reading on would parse the
+  // footer as a chunk header.
+  if (ended_) return false;
+  ended_ = !reader_.next(out);
+  return !ended_;
 }
 
 std::string BinaryFileTraceSource::describe() const {
@@ -70,12 +95,18 @@ void PushTraceSource::push(std::string key, Operation op) {
 
 void PushTraceSource::push(KeyedOperation kop) {
   util::MutexLock lock(mutex_);
-  while (!closed_ && items_.size() >= capacity_) not_full_.wait(mutex_);
+  while (!closed_ && items_.size() >= capacity_) {
+    ++waiting_producers_;
+    not_full_.wait(mutex_);
+    --waiting_producers_;
+  }
   if (closed_) {
     throw std::logic_error("PushTraceSource::push after close()");
   }
   items_.push_back(std::move(kop));
-  not_empty_.notify_one();
+  // Each waiting consumer needs one item of its own; further items are
+  // taken by whichever consumer wakes, so they need no signal.
+  if (items_.size() <= waiting_consumers_) not_empty_.notify_one();
 }
 
 void PushTraceSource::close() {
@@ -87,30 +118,54 @@ void PushTraceSource::close() {
   not_full_.notify_all();
 }
 
+bool PushTraceSource::wait_for_items(
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+  while (!closed_ && items_.empty()) {
+    bool timed_out = false;
+    ++waiting_consumers_;
+    if (deadline) {
+      timed_out = not_empty_.wait_until(mutex_, *deadline) ==
+                  std::cv_status::timeout;
+    } else {
+      not_empty_.wait(mutex_);
+    }
+    --waiting_consumers_;
+    if (timed_out) break;
+  }
+  return !items_.empty();
+}
+
+void PushTraceSource::wake_producers(std::size_t freed) {
+  if (waiting_producers_ == 0 || freed == 0) return;
+  if (freed == 1) {
+    not_full_.notify_one();
+  } else {
+    not_full_.notify_all();
+  }
+}
+
 bool PushTraceSource::next(KeyedOperation& out) {
   util::MutexLock lock(mutex_);
-  while (!closed_ && items_.empty()) not_empty_.wait(mutex_);
-  if (items_.empty()) return false;  // closed and drained
+  if (!wait_for_items(std::nullopt)) return false;  // closed and drained
   out = std::move(items_.front());
   items_.pop_front();
-  not_full_.notify_one();
+  wake_producers(1);
   return true;
 }
 
-TraceSource::Pull PushTraceSource::try_next_for(
-    KeyedOperation& out, std::chrono::milliseconds wait) {
+TraceSource::Pull PushTraceSource::try_next_batch_for(
+    std::vector<KeyedOperation>& out, std::size_t max,
+    std::chrono::milliseconds wait) {
+  out.clear();
   const auto deadline = std::chrono::steady_clock::now() + wait;
   util::MutexLock lock(mutex_);
-  while (!closed_ && items_.empty()) {
-    if (not_empty_.wait_until(mutex_, deadline) == std::cv_status::timeout &&
-        !closed_ && items_.empty()) {
-      return Pull::pending;
-    }
+  if (!wait_for_items(deadline)) return closed_ ? Pull::closed : Pull::pending;
+  const std::size_t n = std::min(max, items_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(std::move(items_.front()));
+    items_.pop_front();
   }
-  if (items_.empty()) return Pull::closed;  // closed and drained
-  out = std::move(items_.front());
-  items_.pop_front();
-  not_full_.notify_one();
+  wake_producers(n);
   return Pull::item;
 }
 

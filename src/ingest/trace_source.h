@@ -21,6 +21,7 @@
 #include <deque>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,29 +34,31 @@ namespace kav {
 
 class TraceSource {
  public:
-  // Result of a bounded pull (try_next_for): an operation was produced,
-  // nothing arrived within the wait (stream still open), or the stream
-  // ended.
+  // Result of a bounded pull (try_next_batch_for): operations were
+  // produced, nothing arrived within the wait (stream still open), or
+  // the stream ended.
   enum class Pull : unsigned char { item, pending, closed };
 
   virtual ~TraceSource() = default;
 
-  // Pulls the next operation; false at the end of the stream. May block
-  // (push sources block until an operation arrives or the producer
-  // closes). Throws std::runtime_error on malformed input.
+  // Pulls the next operation; false at the end of the stream, and
+  // false again on every later call. May block (push sources block
+  // until an operation arrives or the producer closes). Throws
+  // std::runtime_error on malformed input.
   virtual bool next(KeyedOperation& out) = 0;
 
-  // Bounded pull: like next(), but a source that might block
-  // indefinitely returns Pull::pending after ~`wait` instead, so a
-  // consumer can re-check a CancelToken or deadline between pulls
-  // (Engine::monitor does). The default forwards to next() -- correct
-  // for sources that never block longer than their input takes to
-  // read; blocking sources (PushTraceSource) override it.
-  virtual Pull try_next_for(KeyedOperation& out,
-                            std::chrono::milliseconds wait) {
-    (void)wait;
-    return next(out) ? Pull::item : Pull::closed;
-  }
+  // Bounded batch pull: replaces `out` with 1..`max` operations in
+  // stream order and returns Pull::item, or leaves it empty and returns
+  // Pull::closed at the end of the stream -- or Pull::pending when a
+  // source that might block indefinitely saw nothing arrive within
+  // ~`wait`, so a consumer can re-check a CancelToken or deadline
+  // between pulls (Engine pulls every source through this). The
+  // default repeats next(), which is correct for sources that never
+  // block longer than their input takes to read; blocking sources
+  // (PushTraceSource) override it.
+  virtual Pull try_next_batch_for(std::vector<KeyedOperation>& out,
+                                  std::size_t max,
+                                  std::chrono::milliseconds wait);
 
   // Human-readable origin for reports and error messages, e.g.
   // "memory(120 ops)" or "binary:trace.kavb".
@@ -131,6 +134,7 @@ class BinaryFileTraceSource final : public TraceSource {
   std::string path_;
   std::ifstream in_;
   BinaryTraceReader reader_;
+  bool ended_ = false;  // the reader must not be pulled past the end
 };
 
 // Incremental push source: producers push() completed operations from
@@ -139,6 +143,11 @@ class BinaryFileTraceSource final : public TraceSource {
 // available or the source is closed. push() blocks while the internal
 // queue is at capacity (backpressure) and throws std::logic_error
 // after close().
+//
+// Handoffs are counted, not signalled blindly: a push wakes the
+// consumer only when one is waiting on an empty queue, and a pull wakes
+// producers only when one is blocked on a full queue -- once per
+// batch for try_next_batch_for.
 class PushTraceSource final : public TraceSource {
  public:
   explicit PushTraceSource(std::size_t capacity = 1'024)
@@ -151,15 +160,24 @@ class PushTraceSource final : public TraceSource {
   void close() KAV_EXCLUDES(mutex_);
 
   bool next(KeyedOperation& out) override KAV_EXCLUDES(mutex_);
-  // Times out with Pull::pending instead of blocking forever, so a
-  // cancelled Engine::monitor over a push source that is never closed
-  // still returns.
-  Pull try_next_for(KeyedOperation& out,
-                    std::chrono::milliseconds wait) override
+  // Takes up to `max` queued operations under one lock. Times out with
+  // Pull::pending instead of blocking forever, so a cancelled
+  // Engine::monitor over a push source that is never closed still
+  // returns.
+  Pull try_next_batch_for(std::vector<KeyedOperation>& out, std::size_t max,
+                          std::chrono::milliseconds wait) override
       KAV_EXCLUDES(mutex_);
   std::string describe() const override KAV_EXCLUDES(mutex_);
 
  private:
+  // Waits until an item is queued, the source is closed, or `deadline`
+  // passes (nullopt: no deadline). True when an item is queued.
+  bool wait_for_items(
+      const std::optional<std::chrono::steady_clock::time_point>& deadline)
+      KAV_REQUIRES(mutex_);
+  // Wakes blocked producers after `freed` items left the queue.
+  void wake_producers(std::size_t freed) KAV_REQUIRES(mutex_);
+
   // One lock orders the whole handoff: producers block on not_full_
   // (capacity backpressure), the consumer blocks on not_empty_, and
   // close() flips closed_ then wakes both sides.
@@ -167,6 +185,10 @@ class PushTraceSource final : public TraceSource {
   util::CondVar not_full_;
   util::CondVar not_empty_;
   std::deque<KeyedOperation> items_ KAV_GUARDED_BY(mutex_);
+  // Threads currently blocked on either side; a handoff signals only
+  // when the other side has a waiter.
+  std::size_t waiting_producers_ KAV_GUARDED_BY(mutex_) = 0;
+  std::size_t waiting_consumers_ KAV_GUARDED_BY(mutex_) = 0;
   // Immutable after construction; readable without the lock.
   const std::size_t capacity_;
   bool closed_ KAV_GUARDED_BY(mutex_) = false;

@@ -26,7 +26,7 @@ struct ThreadPool::Metrics {
   explicit Metrics(obs::MetricsRegistry& registry)
       : tasks_submitted(registry.counter(
             "kav_pool_tasks_submitted_total",
-            "Tasks submitted to the work-stealing pool.")),
+            "Tasks submitted or posted to the work-stealing pool.")),
         tasks_completed(registry.counter(
             "kav_pool_tasks_completed_total",
             "Tasks the pool ran to completion (including ones whose "
@@ -127,7 +127,9 @@ bool ThreadPool::try_run_one(std::size_t self) {
   {
     obs::ScopedTimer timer(&metrics_->task_seconds, &obs::Tracer::global(),
                            "pool.task", "pipeline");
-    task();  // packaged_task: exceptions are captured into the future
+    // submit() wraps a packaged_task (exceptions land in its future);
+    // post() tasks are noexcept.
+    task();
   }
   metrics_->tasks_completed.add(1);
   return true;

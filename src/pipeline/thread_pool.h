@@ -13,8 +13,9 @@
 //
 //   1. every task submitted before shutdown() runs to completion
 //      (shutdown drains, it does not abort), and
-//   2. a task's exception is captured and rethrown from the future
-//      submit() returned, never swallowed or left to terminate().
+//   2. a submit()ted task's exception is captured and rethrown from the
+//      future submit() returned, never swallowed or left to
+//      terminate(). post()ed tasks have no future and must not throw.
 //
 // Cancellation is cooperative and lives in the caller (see
 // pipeline/sharded_verifier.cpp's fail-fast flag): tasks that want to
@@ -74,8 +75,18 @@ class ThreadPool {
     return future;
   }
 
+  // Schedules fn with no future: the fire-and-forget form of submit()
+  // for hot paths that track completion themselves (the keyed monitor's
+  // drain tasks), sparing submit()'s packaged_task, shared state and
+  // future. fn must not throw -- an escaping exception terminates the
+  // process. Throws std::runtime_error if the pool has been shut down.
+  template <typename F>
+  void post(F&& fn) {
+    enqueue([fn = std::forward<F>(fn)]() mutable noexcept { fn(); });
+  }
+
   // Runs every already-submitted task to completion, then joins the
-  // workers. Idempotent; later submit() calls throw.
+  // workers. Idempotent; later submit() and post() calls throw.
   void shutdown();
 
  private:

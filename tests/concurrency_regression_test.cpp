@@ -13,6 +13,10 @@
 //     at all, leaning on writer serialization for the writes and on
 //     nothing for concurrent readers. They now take the shared side of
 //     segments_mutex_ like every other reader.
+//   * The monitor's per-key inbox: producers block on a full inbox
+//     while a drain task swaps it out whole, finish() takes what the
+//     last drains left, and a drain that cannot be posted (the borrowed
+//     pool is already shut down) gives its claim back.
 //
 // These suites run under the `unit` label on purpose: ci.sh --tsan
 // executes that label, so every interleaving here is exercised under
@@ -23,6 +27,8 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +111,119 @@ TEST(ConcurrencyRegression, MonitorDestructionRacesDrainTasks) {
   EXPECT_EQ(backlog, 0.0);
   EXPECT_EQ(pending, 0.0);
   EXPECT_EQ(active, 0.0);
+}
+
+// Every producer writes its own values to a key it shares with another
+// producer, so tiny inboxes keep several producers blocked at once
+// while drain tasks swap the inbox out. The reorder slack covers the
+// cross-producer disorder, so every op must reach a checker cleanly.
+// With `batch` > 1 producers use the batch ingest, whose claims are
+// posted only at the end of a batch -- or before it blocks on a full
+// inbox, which its own unposted claim may be holding.
+MonitorReport run_blocked_producers(pipeline::ThreadPool& pool,
+                                    obs::MetricsRegistry& registry,
+                                    std::size_t capacity, int producers,
+                                    int ops_per_producer,
+                                    std::size_t batch = 1) {
+  MonitorOptions options;
+  options.metrics = &registry;
+  options.queue_capacity = capacity;
+  options.reorder_slack = 1'000'000'000;
+  KeyedStreamingMonitor monitor(pool, options);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < producers; ++p) {
+    threads.emplace_back([&monitor, p, ops_per_producer, batch] {
+      const std::string key = "key" + std::to_string(p % 2);
+      std::vector<KeyedOperation> pending;
+      for (int i = 0; i < ops_per_producer; ++i) {
+        const TimePoint start = 10 * static_cast<TimePoint>(i);
+        const Operation op =
+            make_write(start, start + 5, p * ops_per_producer + i + 1);
+        if (batch == 1) {
+          monitor.ingest(key, op);
+          continue;
+        }
+        pending.push_back({key, op});
+        if (pending.size() == batch || i + 1 == ops_per_producer) {
+          monitor.ingest(std::span<const KeyedOperation>(pending));
+          pending.clear();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // finish() runs while the last drain tasks may still be swapping.
+  return monitor.finish();
+}
+
+void expect_every_op_checked(const MonitorReport& report,
+                             std::uint64_t total) {
+  EXPECT_EQ(report.totals.operations_ingested, total);
+  std::uint64_t checked = 0;
+  for (const auto& [key, result] : report.per_key) {
+    checked += result.stats.operations_ingested;
+    EXPECT_TRUE(result.violations.empty())
+        << key << ": " << result.violations.front().detail;
+  }
+  EXPECT_EQ(checked, total);
+}
+
+TEST(ConcurrencyRegression, ProducersBlockOnAFullInboxWhileDrainsSwapIt) {
+  obs::MetricsRegistry registry;
+  pipeline::ThreadPool pool(2, &registry);
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const MonitorReport report =
+        run_blocked_producers(pool, registry, capacity, 4, 2'000);
+    expect_every_op_checked(report, 4u * 2'000u);
+  }
+}
+
+TEST(ConcurrencyRegression, BatchIngestPostsItsClaimsBeforeBlocking) {
+  obs::MetricsRegistry registry;
+  pipeline::ThreadPool pool(2, &registry);
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const MonitorReport report =
+        run_blocked_producers(pool, registry, capacity, 4, 2'000, 16);
+    expect_every_op_checked(report, 4u * 2'000u);
+  }
+}
+
+TEST(ConcurrencyRegression, FinishRacesBackpressuredDrains) {
+  obs::MetricsRegistry registry;
+  pipeline::ThreadPool pool(3, &registry);
+  for (int round = 0; round < 30; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const MonitorReport report = run_blocked_producers(pool, registry, 1, 2, 64);
+    expect_every_op_checked(report, 2u * 64u);
+  }
+  double backlog = -1.0;
+  for (const obs::MetricSnapshot& m : registry.snapshot().metrics) {
+    if (m.name == "kav_monitor_queue_backlog") backlog = m.value;
+  }
+  EXPECT_EQ(backlog, 0.0);
+}
+
+// A borrowed pool shut down by its owner rejects the drain task. The
+// claim must be undone: the next ingest tries (and fails) again rather
+// than queueing behind a drainer that will never run, finish() still
+// checks what was ingested, and the destructor's quiesce() returns.
+TEST(ConcurrencyRegression, DrainPostRejectedByAShutDownPoolIsUndone) {
+  obs::MetricsRegistry registry;
+  pipeline::ThreadPool pool(2, &registry);
+  pool.shutdown();
+  MonitorOptions options;
+  options.metrics = &registry;
+  {
+    KeyedStreamingMonitor monitor(pool, options);
+    EXPECT_THROW(monitor.ingest("k", make_write(0, 5, 1)), std::runtime_error);
+    EXPECT_THROW(monitor.ingest("k", make_write(10, 15, 2)),
+                 std::runtime_error);
+    const MonitorReport report = monitor.finish();
+    EXPECT_EQ(report.totals.operations_ingested, 2u);
+    EXPECT_EQ(report.per_key.at("k").stats.operations_ingested, 2u);
+  }  // quiesce() must not wait for the drain that was never posted
 }
 
 // Writers (append + synchronous maintenance with folds and retention)

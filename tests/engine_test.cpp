@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -220,6 +221,84 @@ TEST(Engine, CancelledMonitorStillReportsThePrefixSoundly) {
   EXPECT_EQ(report.monitor_totals.operations_ingested, 1u);
 }
 
+// A filtered monitor run hands the monitor the runs of selected
+// operations between rejected ones. With the keys interleaved, every
+// batch holds many short runs; each selected key must still come out
+// as if it had been monitored alone, from memory and from a source.
+TEST(Engine, FilteredMonitorSeesEverySelectedOperation) {
+  const KeyedTrace by_key = multi_key_trace(5, 300, 11);
+  std::map<std::string, std::vector<Operation>> ops;
+  for (const KeyedOperation& kop : by_key.ops) ops[kop.key].push_back(kop.op);
+  KeyedTrace trace;
+  for (std::size_t i = 0; i < 300; ++i) {
+    for (const auto& [key, key_ops] : ops) trace.add(key, key_ops[i]);
+  }
+  Engine engine;
+  RunOptions run;
+  run.key_filter = {"key1", "key3", "absent"};
+  const Report from_memory = engine.monitor(trace, run);
+  MemoryTraceSource source(trace);
+  const Report from_source = engine.monitor(source, run);
+  for (const Report* report : {&from_memory, &from_source}) {
+    ASSERT_EQ(report->per_key.size(), 2u);
+    EXPECT_EQ(report->monitor_totals.operations_ingested, 600u);
+    EXPECT_EQ(report->missing_keys, std::vector<std::string>{"absent"});
+    for (const std::string key : {"key1", "key3"}) {
+      SCOPED_TRACE(key);
+      KeyedTrace alone;
+      for (const Operation& op : ops.at(key)) alone.add(key, op);
+      const Report solo = engine.monitor(alone);
+      const KeyResult& got = report->per_key.at(key);
+      const KeyResult& want = solo.per_key.at(key);
+      EXPECT_EQ(got.verdict.outcome, want.verdict.outcome);
+      EXPECT_EQ(got.stream.operations_ingested,
+                want.stream.operations_ingested);
+      EXPECT_EQ(got.findings.size(), want.findings.size());
+    }
+  }
+}
+
+TEST(Engine, HardAnomalyOnOneKeyLeavesTheMonitorReportIntact) {
+  // Key "k" reads a value before its write starts, then runs on; the
+  // other keys are clean. The monitor must return a Report with one
+  // hard_anomaly finding on "k", not throw from finish().
+  KeyedTrace trace;
+  trace.add("k", make_read(0, 5, 1));
+  trace.add("k", make_write(10, 20, 1));
+  for (int i = 0; i < 20'000; ++i) {
+    const TimePoint start = 30 + 20 * static_cast<TimePoint>(i);
+    trace.add("k", make_write(start, start + 10, 2 + i));
+    if (i % 100 == 0) {
+      const std::string other = "other" + std::to_string(i % 300);
+      trace.add(other, make_write(start, start + 4, i));
+      trace.add(other, make_read(start + 6, start + 9, i));
+    }
+  }
+  EngineOptions options;
+  options.threads = 2;
+  options.streaming.staleness_horizon = 100;
+  options.reorder_slack = 10;
+  Engine engine(options);
+  Report report;
+  ASSERT_NO_THROW(report = engine.monitor(trace));
+  ASSERT_EQ(report.per_key.size(), 4u);
+  const KeyResult& bad = report.per_key.at("k");
+  EXPECT_TRUE(bad.verdict.no());
+  ASSERT_EQ(bad.findings.size(), 1u);
+  EXPECT_EQ(bad.findings.front().kind, StreamingViolation::Kind::hard_anomaly);
+  EXPECT_NE(bad.findings.front().detail.find("read-precedes-dictating-write"),
+            std::string::npos)
+      << bad.findings.front().detail;
+  EXPECT_EQ(bad.stream.operations_ingested, 20'002u);
+  for (const auto& [key, result] : report.per_key) {
+    if (key == "k") continue;
+    SCOPED_TRACE("key " + key);
+    EXPECT_TRUE(result.verdict.yes()) << result.verdict.reason;
+    EXPECT_TRUE(result.findings.empty());
+  }
+  EXPECT_EQ(report.monitor_totals.operations_ingested, trace.size());
+}
+
 // --- TraceSource equivalence ----------------------------------------------
 
 class EngineSourceTest : public ::testing::Test {
@@ -371,7 +450,7 @@ TEST(EngineSource, PushSourceStreamsFromAProducerThread) {
 
 TEST(EngineSource, CancelUnblocksMonitorOnAnIdlePushSource) {
   // The producer never calls close(): without bounded pulls
-  // (TraceSource::try_next_for) the monitor would block in next()
+  // (TraceSource::try_next_batch_for) the monitor would block in next()
   // forever and the CancelToken could never be honored.
   Engine engine;
   PushTraceSource push;
@@ -387,6 +466,61 @@ TEST(EngineSource, CancelUnblocksMonitorOnAnIdlePushSource) {
   EXPECT_TRUE(report.cancelled);
   EXPECT_NE(report.stop_reason.find("cancelled"), std::string::npos);
   EXPECT_EQ(report.monitor_totals.operations_ingested, 1u);
+}
+
+// A producer that never idles: it pushes until the source is closed,
+// counting completed pushes, and cancels `token` (when given) after
+// `cancel_after` of them.
+std::thread busy_producer(PushTraceSource& push, std::atomic<int>& pushed,
+                          int cancel_after, CancelToken* token) {
+  return std::thread([&push, &pushed, cancel_after, token] {
+    try {
+      for (int i = 0;; ++i) {
+        const TimePoint start = 10 * static_cast<TimePoint>(i);
+        push.push("k" + std::to_string(i % 4), make_write(start, start + 5, i));
+        pushed.fetch_add(1, std::memory_order_relaxed);
+        if (token != nullptr && i + 1 == cancel_after) token->cancel();
+      }
+    } catch (const std::logic_error&) {
+      // push after close(): the run is over
+    }
+  });
+}
+
+TEST(EngineSource, BusyPushSourceHonorsAnExpiredDeadlineWithinOneBatch) {
+  Engine engine;
+  PushTraceSource push(64);  // a pull takes at most 64 operations
+  std::atomic<int> pushed{0};
+  std::thread producer = busy_producer(push, pushed, 0, nullptr);
+  RunOptions run;
+  run.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  const Report report = engine.monitor(push, run);
+  push.close();
+  producer.join();
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_NE(report.stop_reason.find("deadline"), std::string::npos)
+      << report.stop_reason;
+  EXPECT_LE(report.monitor_totals.operations_ingested, 64u);
+}
+
+TEST(EngineSource, BusyPushSourceHonorsACancelWithinOneBatch) {
+  Engine engine;
+  PushTraceSource push(64);
+  std::atomic<int> pushed{0};
+  RunOptions run;
+  constexpr int kCancelAfter = 5'000;
+  std::thread producer = busy_producer(push, pushed, kCancelAfter, &run.cancel);
+  const Report report = engine.monitor(push, run);
+  push.close();
+  producer.join();
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_NE(report.stop_reason.find("cancelled"), std::string::npos)
+      << report.stop_reason;
+  // Everything pushed before the cancel may have been pulled, plus the
+  // batch in flight when it fired -- never the busy producer's tail.
+  EXPECT_LE(report.monitor_totals.operations_ingested,
+            static_cast<std::uint64_t>(kCancelAfter + 64));
+  EXPECT_GE(pushed.load(), kCancelAfter);
 }
 
 TEST(EngineSource, PushSourceRejectsPushAfterClose) {

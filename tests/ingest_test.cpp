@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/streaming.h"
@@ -20,7 +19,6 @@
 #include "ingest/binary_trace.h"
 #include "ingest/keyed_monitor.h"
 #include "ingest/reorder_buffer.h"
-#include "pipeline/bounded_queue.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -277,40 +275,6 @@ TEST(ReorderBuffer, RejectsArrivalsBeyondTheSlack) {
   EXPECT_EQ(buffer.late_rejected(), 1u);
   EXPECT_EQ(buffer.accepted(), 1u);
   EXPECT_EQ(buffer.pending(), 1u);
-}
-
-// --- BoundedQueue ----------------------------------------------------------
-
-TEST(BoundedQueue, FifoAndCapacity) {
-  pipeline::BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_FALSE(queue.try_push(3));  // full
-  int out = 0;
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.try_push(3));
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(queue.try_pop(out));
-}
-
-TEST(BoundedQueue, PushBlocksUntilAPopMakesRoom) {
-  pipeline::BoundedQueue<int> queue(1);
-  queue.push(1);
-  std::thread producer([&queue] { queue.push(2); });  // blocks: full
-  int out = 0;
-  // The consumer side keeps popping until both items came through; the
-  // producer can only finish if push() unblocked.
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 1);
-  while (!queue.try_pop(out)) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(out, 2);
-  producer.join();
 }
 
 // --- StreamingChecker reuse hook -------------------------------------------

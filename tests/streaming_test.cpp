@@ -143,6 +143,65 @@ TEST(Streaming, DuplicateWriteValueFlagged) {
             StreamingViolation::Kind::hard_anomaly);
 }
 
+TEST(Streaming, ReadBeforeItsWriteIsOneFindingAndTheWindowStaysBounded) {
+  // The read finishes before its write starts, so the settled chunk
+  // cannot be normalized. It must become one hard_anomaly finding and
+  // leave the window; a throwing flush would never compact it.
+  StreamingOptions options;
+  options.staleness_horizon = 100;
+  StreamingChecker checker(options);
+  checker.add(make_read(0, 5, 1));
+  checker.add(make_write(10, 20, 1));
+  std::size_t peak = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const TimePoint start = 30 + 20 * static_cast<TimePoint>(i);
+    checker.add(make_write(start, start + 10, 2 + i));
+    ASSERT_NO_THROW(checker.advance_watermark(start)) << "op " << i;
+    peak = std::max(peak, checker.window_size());
+  }
+  Verdict verdict;
+  ASSERT_NO_THROW(verdict = checker.finish());
+  EXPECT_TRUE(verdict.no());
+  ASSERT_EQ(checker.violations().size(), 1u);
+  const StreamingViolation& found = checker.violations().front();
+  EXPECT_EQ(found.kind, StreamingViolation::Kind::hard_anomaly);
+  EXPECT_NE(found.detail.find("read-precedes-dictating-write"),
+            std::string::npos)
+      << found.detail;
+  EXPECT_LT(peak, 32u) << "the anomalous chunk was never evicted";
+  EXPECT_EQ(checker.stats().operations_evicted, 20'002u);
+}
+
+TEST(Streaming, RewrittenValuesAreRememberedOnceEach) {
+  // A key that keeps rewriting values from a small set (larger than the
+  // window, so no two writes in it share a value) evicts the same value
+  // over and over; horizon diagnostics must remember each value once,
+  // not once per eviction.
+  StreamingOptions options;
+  options.staleness_horizon = 100;
+  StreamingChecker checker(options);
+  for (int i = 0; i < 20'000; ++i) {
+    const TimePoint start = 20 * static_cast<TimePoint>(i);
+    checker.add(make_write(start, start + 10, 1 + i % 64));
+    checker.advance_watermark(start);
+    ASSERT_LE(checker.remembered_evicted_values(), 2'048u) << "op " << i;
+  }
+  EXPECT_TRUE(checker.finish().yes());
+  EXPECT_EQ(checker.stats().operations_evicted, 20'000u);
+  // An orphan read forces a lookup, which merges what is left.
+  StreamingChecker probe(options);
+  for (int i = 0; i < 5'000; ++i) {
+    const TimePoint start = 20 * static_cast<TimePoint>(i);
+    probe.add(make_write(start, start + 10, 1 + i % 64));
+    probe.advance_watermark(start);
+  }
+  probe.advance_watermark(200'000);  // evicts every write
+  probe.add(make_read(200'005, 200'008, 7));
+  probe.advance_watermark(300'000);
+  ASSERT_EQ(probe.violations().size(), 1u);
+  EXPECT_EQ(probe.remembered_evicted_values(), 64u);
+}
+
 TEST(Streaming, QuorumTraceEndToEnd) {
   quorum::QuorumConfig config;
   config.replicas = 3;
