@@ -1,13 +1,14 @@
 // Engine-session overhead: what the kav::Engine front door costs (and
-// saves) relative to the legacy free functions.
+// saves) relative to one-shot spellings of the same jobs.
 //
-//  * pool amortization -- the legacy parallel facade spins a fresh
-//    ThreadPool up per call; a reused Engine pays that once. Measured
-//    as repeated verification of a many-key trace through both paths,
-//    plus batch + monitor interleaving on one engine.
+//  * pool amortization -- a fresh Engine per call spins a ThreadPool up
+//    every time; a reused Engine pays that once. Measured as repeated
+//    verification of a many-key trace through both paths, plus batch +
+//    monitor interleaving on one engine.
 //  * source abstraction -- a virtual next() per record vs the raw
 //    BinaryTraceReader loop on the same .kavb file, and Engine::verify
-//    from a file source vs legacy read_any_trace_file + verify.
+//    from a file source vs drain(*open_trace_source) + the serial
+//    verify_keyed_trace.
 //
 // The workload defaults to 200,000 operations over 128 keys (smaller
 // than bench_ingest: every iteration verifies, not just parses);
@@ -90,16 +91,15 @@ void ops_rate(benchmark::State& state, std::uint64_t ops_done) {
 
 // --- Pool amortization -----------------------------------------------------
 
-// Legacy path: every call builds a temporary Engine (and so a pool).
+// Per-call pool: every iteration builds a fresh Engine (and so a pool).
 void verify_per_call_pool(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  VerifyOptions options;
-  PipelineOptions pipeline;
-  pipeline.threads = threads;
+  EngineOptions options;
+  options.threads = threads;
   std::uint64_t ops_done = 0;
   for (auto _ : state) {
-    const KeyedReport report =
-        verify_keyed_trace(fixture().trace, options, pipeline);
+    Engine engine(options);
+    const Report report = engine.verify(fixture().trace);
     benchmark::DoNotOptimize(report);
     ops_done += fixture().trace.size();
   }
@@ -185,8 +185,9 @@ void binary_trace_source(benchmark::State& state) {
 }
 BENCHMARK(binary_trace_source)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// End to end from disk: Engine::verify over a file source vs the
-// legacy read-then-verify spelling of the same job.
+// End to end from disk: Engine::verify over a file source vs reading
+// the whole file first and verifying it serially (the name is kept so
+// committed BENCH_engine.json rows stay comparable).
 void verify_from_file_engine(benchmark::State& state) {
   EngineOptions options;
   options.threads = 1;
@@ -205,8 +206,8 @@ BENCHMARK(verify_from_file_engine)->UseRealTime()->Unit(benchmark::kMillisecond)
 void verify_from_file_legacy(benchmark::State& state) {
   std::uint64_t ops_done = 0;
   for (auto _ : state) {
-    const KeyedTrace trace = read_any_trace_file(fixture().binary_path);
-    const KeyedReport report = verify_keyed_trace(trace);
+    const KeyedTrace trace = drain(*open_trace_source(fixture().binary_path));
+    const Report report = verify_keyed_trace(trace);
     benchmark::DoNotOptimize(report);
     ops_done += trace.size();
   }

@@ -27,6 +27,7 @@
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
 #include "ingest/keyed_monitor.h"
+#include "pipeline/thread_pool.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -168,11 +169,12 @@ void monitor_stream(benchmark::State& state) {
   MonitorOptions options;
   options.streaming.staleness_horizon = 200;
   options.reorder_slack = 64;
-  options.threads = threads;
+  // One pool for every iteration, as a long-lived engine holds it.
+  pipeline::ThreadPool pool(threads);
   std::uint64_t ops_done = 0;
   double peak_window = 0;
   for (auto _ : state) {
-    KeyedStreamingMonitor monitor(options);
+    KeyedStreamingMonitor monitor(pool, options);
     for (const KeyedOperation& kop : fixture().trace.ops) {
       monitor.ingest(kop);
     }

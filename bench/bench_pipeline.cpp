@@ -16,6 +16,7 @@
 #include "gen/generators.h"
 #include "history/keyed_trace.h"
 #include "pipeline/sharded_verifier.h"
+#include "pipeline/thread_pool.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -47,7 +48,7 @@ void keyed_serial(benchmark::State& state) {
   options.k = 2;
   std::uint64_t keys_checked = 0;
   for (auto _ : state) {
-    const KeyedReport report = verify_keyed_trace(trace, options);
+    const Report report = verify_keyed_trace(trace, options);
     benchmark::DoNotOptimize(report);
     keys_checked += report.per_key.size();
   }
@@ -65,15 +66,15 @@ void keyed_parallel(benchmark::State& state) {
   const KeyedTrace trace = keyed_workload(keys, 24, 42);
   VerifyOptions options;
   options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = threads;
   // Pool constructed once outside the timed loop, as a long-lived
-  // monitor would hold it. Each iteration splits the trace and
-  // verifies, the same work the serial facade above performs.
-  ShardedVerifier verifier(options, pipeline);
+  // engine holds it. Each iteration splits the trace and verifies, the
+  // same work the serial verify_keyed_trace above performs.
+  pipeline::ThreadPool pool(threads);
+  ShardedVerifier verifier(pool);
   std::uint64_t keys_checked = 0;
   for (auto _ : state) {
-    const KeyedReport report = verifier.verify(trace);
+    KeyGroups groups = group_by_key(trace);
+    const Report report = verifier.verify_shards(lazy_shards(groups), options);
     benchmark::DoNotOptimize(report);
     keys_checked += report.per_key.size();
   }
@@ -100,11 +101,12 @@ void keyed_fail_fast(benchmark::State& state) {
   VerifyOptions options;
   options.k = 2;
   PipelineOptions pipeline;
-  pipeline.threads = 4;
   pipeline.fail_fast = fail_fast;
-  ShardedVerifier verifier(options, pipeline);
+  pipeline::ThreadPool pool(4);
+  ShardedVerifier verifier(pool, pipeline);
   for (auto _ : state) {
-    const KeyedReport report = verifier.verify(trace);
+    KeyGroups groups = group_by_key(trace);
+    const Report report = verifier.verify_shards(lazy_shards(groups), options);
     benchmark::DoNotOptimize(report);
   }
 }

@@ -345,16 +345,6 @@ std::optional<std::chrono::steady_clock::time_point> effective_deadline(
   return deadline;
 }
 
-bool is_skip_reason(const Verdict& verdict, std::string* reason) {
-  if (verdict.outcome != Outcome::undecided) return false;
-  if (verdict.reason != kSkipCancelledReason &&
-      verdict.reason != kSkipDeadlineReason) {
-    return false;
-  }
-  if (reason->empty()) *reason = verdict.reason;
-  return true;
-}
-
 // Shared run-control scaffolding for every source-consuming loop.
 constexpr std::chrono::milliseconds kPullWait{100};
 // Operations taken per source pull: enough to amortize the handoff (one
@@ -415,8 +405,8 @@ Engine::Engine(EngineOptions options)
   PipelineOptions pipeline_options;
   pipeline_options.shard_op_budget = options_.shard_op_budget;
   pipeline_options.fail_fast = options_.fail_fast;
-  verifier_ = std::make_unique<ShardedVerifier>(*pool_, options_.verify,
-                                                pipeline_options, metrics_);
+  verifier_ =
+      std::make_unique<ShardedVerifier>(*pool_, pipeline_options, metrics_);
   if (options_.telemetry_port >= 0) {
     serve_telemetry(options_.telemetry_address, options_.telemetry_port);
   }
@@ -460,21 +450,6 @@ std::unique_ptr<TraceStore> Engine::open_store(
 
 namespace {
 
-// Merges the pipeline's KeyedReport into the unified batch Report,
-// promoting skip reasons into cancellation state.
-Report batch_report_from(KeyedReport&& keyed) {
-  Report report;
-  report.mode = Report::Mode::batch;
-  report.verify_totals = keyed.total_stats();
-  for (auto& [key, verdict] : keyed.per_key) {
-    if (is_skip_reason(verdict, &report.stop_reason)) {
-      report.cancelled = true;
-    }
-    report.per_key.emplace(key, KeyResult{std::move(verdict), {}, {}});
-  }
-  return report;
-}
-
 RunControl run_control_for(
     const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
@@ -490,9 +465,9 @@ RunControl run_control_for(
 Report Engine::run_specs(
     const std::vector<ShardSpec>& specs, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  return batch_report_from(verifier_->verify_shards(
-      specs, run.verify ? *run.verify : options_.verify,
-      run_control_for(run, deadline)));
+  return verifier_->verify_shards(specs,
+                                 run.verify ? *run.verify : options_.verify,
+                                 run_control_for(run, deadline));
 }
 
 Report Engine::verify_selective(
@@ -646,7 +621,7 @@ Report Engine::monitor(const KeyedTrace& trace, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/false);
   // Dedicated loop rather than a MemoryTraceSource: the trace is
   // already in memory, so it is ingested in place, a subspan at a time
-  // -- no O(trace) copy on this (and the legacy monitor_trace) path.
+  // -- no O(trace) copy.
   // The stop conditions are checked after the first operation, so a
   // run cancelled before it starts admits exactly one, and then after
   // every kPullBatch operations, as drive_source does.
@@ -704,51 +679,6 @@ Report Engine::monitor(TraceSource& source, const RunOptions& run) {
   account_selection(report, filter, offered);
   scope.finish(report);
   return report;
-}
-
-// --- Legacy facade wrappers ------------------------------------------------
-
-// The parallel overload declared in core/verify.h: a temporary Engine
-// per call. Kept for source compatibility; a reused Engine amortizes
-// the pool spin-up this wrapper pays every time (bench_engine measures
-// the difference).
-KeyedReport verify_keyed_trace(const KeyedTrace& trace,
-                               const VerifyOptions& options,
-                               const PipelineOptions& pipeline_options) {
-  EngineOptions engine_options;
-  engine_options.verify = options;
-  engine_options.threads = pipeline_options.threads;
-  engine_options.shard_op_budget = pipeline_options.shard_op_budget;
-  engine_options.fail_fast = pipeline_options.fail_fast;
-  Engine engine(engine_options);
-  Report report = engine.verify(trace);
-  KeyedReport keyed;
-  for (auto& [key, result] : report.per_key) {
-    keyed.per_key.emplace(key, std::move(result.verdict));
-  }
-  return keyed;
-}
-
-// The monitor facade declared in core/verify.h, same deal.
-MonitorReport monitor_trace(const KeyedTrace& trace,
-                            const MonitorOptions& options) {
-  EngineOptions engine_options;
-  engine_options.threads = options.threads;
-  engine_options.streaming = options.streaming;
-  engine_options.reorder_slack = options.reorder_slack;
-  engine_options.queue_capacity = options.queue_capacity;
-  Engine engine(engine_options);
-  RunOptions run;
-  run.on_finding = options.on_violation;
-  Report report = engine.monitor(trace, run);
-  MonitorReport monitor_report;
-  monitor_report.totals = std::move(report.monitor_totals);
-  for (auto& [key, result] : report.per_key) {
-    monitor_report.per_key.emplace(
-        key, KeyMonitorResult{std::move(result.verdict), result.stream,
-                              std::move(result.findings)});
-  }
-  return monitor_report;
 }
 
 }  // namespace kav

@@ -16,20 +16,16 @@
 //   1. RunOptions::verify (per call) overrides EngineOptions::verify.
 //   2. RunOptions::deadline and ::timeout compose: the earlier cutoff
 //      wins when both are set.
-//   3. EngineOptions::threads is the only pool size -- the threads
-//      fields of the absorbed PipelineOptions / MonitorOptions have no
-//      Engine equivalent, because the whole point is one pool.
+//   3. EngineOptions::threads is the only pool size: the sharded
+//      verifier and every monitor run borrow the engine's pool.
 //
 // Determinism: Engine::verify inherits the sharded pipeline's
 // guarantee -- with fail_fast off and no cancel/deadline trigger, the
-// Report's verdicts are bit-identical to the legacy serial
-// verify_keyed_trace for any thread count (differentially fuzzed by
-// tests/engine_fuzz_test.cpp).
+// Report's verdicts are bit-identical to the serial reference
+// verify_keyed_trace (core/verify.h) for any thread count
+// (differentially fuzzed by tests/engine_fuzz_test.cpp).
 //
-// The free functions in core/verify.h survive as thin legacy wrappers
-// (the parallel and monitor ones over a temporary Engine); new code
-// should include kav.h and construct an Engine. Full surface map and
-// migration table: docs/API.md.
+// Full surface map: docs/API.md.
 #ifndef KAV_CORE_ENGINE_H
 #define KAV_CORE_ENGINE_H
 
@@ -62,10 +58,10 @@ struct ShardSpec;
 class TraceStore;
 struct CompactionOptions;
 
-// Everything the three legacy options structs said, minus their
-// duplicated thread counts. Field-by-field origin: VerifyOptions
-// (unchanged, nested), PipelineOptions (shard_op_budget, fail_fast),
-// MonitorOptions (streaming, reorder_slack, queue_capacity).
+// One options struct for the whole session: VerifyOptions (nested),
+// the batch fields of PipelineOptions (shard_op_budget, fail_fast), and
+// the monitor fields of MonitorOptions (streaming, reorder_slack,
+// queue_capacity), plus the one pool size.
 struct EngineOptions {
   // What to verify: k, algorithm, normalization (core/verify.h).
   VerifyOptions verify;
@@ -101,8 +97,8 @@ struct EngineOptions {
   std::string telemetry_address = "127.0.0.1";
 };
 
-// Per-call run options. Default-constructed RunOptions reproduce the
-// legacy facade behavior exactly.
+// Per-call run options. Default-constructed RunOptions run the whole
+// input with EngineOptions::verify and no early stop.
 struct RunOptions {
   // Overrides EngineOptions::verify for this call, e.g. auditing the
   // same shards at several k on one pool.

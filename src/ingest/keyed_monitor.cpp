@@ -61,47 +61,7 @@ struct KeyedStreamingMonitor::Metrics {
 // KeyState is defined in keyed_monitor.h so the locking contracts
 // (KAV_REQUIRES(state.process_mutex)) can name its mutex.
 
-// --- MonitorReport ---------------------------------------------------------
-
-bool MonitorReport::all_clean() const {
-  for (const auto& [key, result] : per_key) {
-    if (!result.violations.empty()) return false;
-  }
-  return true;
-}
-
-std::string MonitorReport::summary() const {
-  std::size_t yes = 0, no = 0, undecided = 0, invalid = 0;
-  for (const auto& [key, result] : per_key) {
-    switch (result.verdict.outcome) {
-      case Outcome::yes:
-        ++yes;
-        break;
-      case Outcome::no:
-        ++no;
-        break;
-      case Outcome::undecided:
-        ++undecided;
-        break;
-      case Outcome::precondition_failed:
-        ++invalid;
-        break;
-    }
-  }
-  return format_key_counts(per_key.size(), yes, no, undecided, invalid);
-}
-
 // --- KeyedStreamingMonitor -------------------------------------------------
-
-KeyedStreamingMonitor::KeyedStreamingMonitor(const MonitorOptions& options)
-    : options_(options),
-      inbox_capacity_(std::max<std::size_t>(1, options.queue_capacity)),
-      metrics_(std::make_unique<Metrics>(
-          options.metrics != nullptr ? *options.metrics
-                                     : obs::MetricsRegistry::global())),
-      owned_pool_(std::make_unique<pipeline::ThreadPool>(options.threads,
-                                                         options.metrics)),
-      pool_(owned_pool_.get()) {}
 
 KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
                                              const MonitorOptions& options)
@@ -114,8 +74,8 @@ KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
 
 KeyedStreamingMonitor::~KeyedStreamingMonitor() {
   // Every queued or running drain task holds a pointer into keys_; wait
-  // for them all before the key states are destroyed. A borrowed pool
-  // is never shut down here -- it belongs to the caller (typically a
+  // for them all before the key states are destroyed. The pool is
+  // never shut down here -- it belongs to the caller (typically a
   // kav::Engine outliving many monitors).
   quiesce();
   // Retire this monitor's share of the level gauges so a shared
@@ -254,7 +214,7 @@ void KeyedStreamingMonitor::post_drains(std::span<KeyState* const> claimed) {
       pool_->post([this, first = claimed[begin]] { drain_task(first); });
     }
   } catch (...) {
-    // post() can throw (e.g. a borrowed pool already shut down by its
+    // post() can throw (e.g. the pool already shut down by its
     // owner). Undo what no task will run for: the claims, so a later
     // ingest can schedule those keys, and the in-flight count, so the
     // destructor's quiesce() does not wait forever.

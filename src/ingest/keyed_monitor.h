@@ -13,11 +13,10 @@
 // advances the checker's watermark once per batch; the batch ingest()
 // posts the keys it claims as at most one task per worker thread.
 //
-// The pool can be owned (legacy constructor) or borrowed (ThreadPool&
-// constructor): kav::Engine (core/engine.h, the library's front door)
-// runs batch verification and monitoring on ONE shared pool. A monitor
-// on a borrowed pool never shuts the pool down; its destructor only
-// waits for its own in-flight drain tasks to quiesce.
+// The pool is the caller's: kav::Engine (core/engine.h, the library's
+// front door) runs batch verification and monitoring on ONE shared
+// pool. A monitor never shuts the pool down; its destructor only waits
+// for its own in-flight drain tasks to quiesce.
 //
 // Soundness inherits from the two layers (see docs/ALGORITHMS.md):
 // the reorder slack S gives each checker a valid watermark, and the
@@ -60,9 +59,6 @@ struct MonitorOptions {
   // delivery jitter. Arrivals beyond the slack are late_arrival
   // violations, not crashes.
   TimePoint reorder_slack = 1'000;
-  // Worker threads; 0 picks std::thread::hardware_concurrency().
-  // Ignored when the monitor borrows a caller-provided pool.
-  std::size_t threads = 0;
   // Per-key inbox capacity; a producer that outruns checking blocks
   // here (backpressure) instead of growing an unbounded backlog. 0 is
   // treated as 1.
@@ -94,24 +90,17 @@ struct KeyMonitorResult {
   std::vector<StreamingViolation> violations;  // late_arrivals appended
 };
 
+// What finish() returns; Engine::monitor folds it into a Report.
 struct MonitorReport {
   std::map<std::string, KeyMonitorResult> per_key;
   MonitorStats totals;
-
-  bool all_clean() const;
-  // Rendered by the shared format_key_counts() formatter (core/report.h)
-  // so monitor and batch tallies are grep-compatible.
-  std::string summary() const;
 };
 
 class KeyedStreamingMonitor {
  public:
-  // Owning: spawns a pool sized by options.threads.
-  explicit KeyedStreamingMonitor(const MonitorOptions& options = {});
-  // Non-owning: checking tasks run on the caller's pool, which must
-  // outlive the monitor.
-  KeyedStreamingMonitor(pipeline::ThreadPool& pool,
-                        const MonitorOptions& options = {});
+  // Checking tasks run on `pool`, which must outlive the monitor.
+  explicit KeyedStreamingMonitor(pipeline::ThreadPool& pool,
+                                 const MonitorOptions& options = {});
   ~KeyedStreamingMonitor();
 
   KeyedStreamingMonitor(const KeyedStreamingMonitor&) = delete;
@@ -242,8 +231,7 @@ class KeyedStreamingMonitor {
   // registry in options_.metrics, not by the monitor.
   struct Metrics;
   std::unique_ptr<Metrics> metrics_;
-  std::unique_ptr<pipeline::ThreadPool> owned_pool_;
-  pipeline::ThreadPool* pool_;  // owned_pool_.get() or the borrowed pool
+  pipeline::ThreadPool* pool_;
 
   // Shared for the per-ingest known-key lookup (the hot path stays
   // contention-free across producers), exclusive only when a key is
@@ -260,18 +248,12 @@ class KeyedStreamingMonitor {
   // finding) rather than letting the exception destroy the report.
   std::atomic<bool> sink_failed_{false};
 
-  // In-flight drain-task accounting, so a monitor on a borrowed pool
-  // can quiesce without shutting the shared pool down.
+  // In-flight drain-task accounting, so the monitor can quiesce
+  // without shutting the shared pool down.
   util::Mutex drains_mutex_;
   util::CondVar drains_cv_;
   std::size_t active_drains_ KAV_GUARDED_BY(drains_mutex_) = 0;
 };
-
-// The facade overload declared in core/verify.h: replays a complete
-// trace (in its arrival order) through a KeyedStreamingMonitor.
-// Legacy wrapper -- new code should use kav::Engine::monitor.
-MonitorReport monitor_trace(const KeyedTrace& trace,
-                            const MonitorOptions& options);
 
 }  // namespace kav
 

@@ -84,23 +84,10 @@ struct ShardedVerifier::Metrics {
   }
 };
 
-ShardedVerifier::ShardedVerifier(VerifyOptions verify_options,
-                                 PipelineOptions pipeline_options,
-                                 obs::MetricsRegistry* metrics)
-    : verify_options_(verify_options),
-      pipeline_options_(pipeline_options),
-      owned_pool_(std::make_unique<pipeline::ThreadPool>(
-          pipeline_options.threads, metrics)),
-      pool_(owned_pool_.get()),
-      metrics_(std::make_shared<Metrics>(
-          metrics != nullptr ? *metrics : obs::MetricsRegistry::global())) {}
-
 ShardedVerifier::ShardedVerifier(pipeline::ThreadPool& pool,
-                                 VerifyOptions verify_options,
                                  PipelineOptions pipeline_options,
                                  obs::MetricsRegistry* metrics)
-    : verify_options_(verify_options),
-      pipeline_options_(pipeline_options),
+    : pipeline_options_(pipeline_options),
       pool_(&pool),
       metrics_(std::make_shared<Metrics>(
           metrics != nullptr ? *metrics : obs::MetricsRegistry::global())) {}
@@ -120,43 +107,11 @@ std::vector<ShardSpec> lazy_shards(KeyGroups& groups) {
   return specs;
 }
 
-KeyedReport ShardedVerifier::verify(const KeyedTrace& trace) {
-  KeyGroups groups = group_by_key(trace);
-  return verify_shards(lazy_shards(groups), verify_options_, RunControl{});
-}
-
-KeyedReport ShardedVerifier::verify(const KeyedHistories& shards) {
-  return verify(shards, verify_options_);
-}
-
-KeyedReport ShardedVerifier::verify(const KeyedHistories& shards,
-                                    const VerifyOptions& verify_options) {
-  return verify(shards, verify_options, RunControl{});
-}
-
-KeyedReport ShardedVerifier::verify(const KeyedHistories& shards,
-                                    const VerifyOptions& verify_options,
-                                    const RunControl& run) {
-  // The map path pins each shard's History by pointer -- no copies;
-  // verify_shards waits for every task before returning, so the
-  // pointers never dangle.
-  std::vector<ShardSpec> specs;
-  specs.reserve(shards.per_key.size());
-  for (const auto& [key, history] : shards.per_key) {
-    ShardSpec spec;
-    spec.key = key;
-    spec.op_count = history.size();
-    spec.pinned = &history;
-    specs.push_back(std::move(spec));
-  }
-  return verify_shards(specs, verify_options, run);
-}
-
-KeyedReport ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
-                                           const VerifyOptions& options,
-                                           const RunControl& run) {
+Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
+                                      const VerifyOptions& options,
+                                      const RunControl& run) {
   // One fail-fast flag per call: a NO on one trace must not poison a
-  // later verify() on the same (reused) pool. Caller cancellation is
+  // later call on the same (reused) pool. Caller cancellation is
   // the token inside `run` -- also per call, by construction.
   auto failed = std::make_shared<std::atomic<bool>>(false);
   // Serializes the optional live per-key callback across workers.
@@ -238,6 +193,12 @@ KeyedReport ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
         return verdict;
       };
 
+  Report report;
+  const auto merge = [&report](const std::string& key, Verdict verdict) {
+    report.verify_totals += verdict.stats;
+    report.per_key.emplace(key, KeyResult{std::move(verdict), {}, {}});
+  };
+
   // Single-shard fast path: run on the caller's thread. A one-key
   // selective audit pays no pool handoff (submit + wake + future wait
   // dwarf a small shard's decode-and-decide); semantics are identical
@@ -245,43 +206,50 @@ KeyedReport ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
   // loader propagates out of this call exactly as the pooled path
   // rethrows it from future::get with no sibling shards to wait on.
   if (shards.size() == 1) {
-    KeyedReport report;
-    report.per_key.emplace(shards.front().key, run_shard(&shards.front()));
-    return report;
-  }
-
-  std::vector<std::future<Verdict>> futures;
-  futures.reserve(shards.size());
-  try {
-    for (const ShardSpec& shard : shards) {
-      const ShardSpec* spec = &shard;
-      futures.push_back(pool_->submit([&run_shard, spec] {
-        return run_shard(spec);
-      }));
+    merge(shards.front().key, run_shard(&shards.front()));
+  } else {
+    std::vector<std::future<Verdict>> futures;
+    futures.reserve(shards.size());
+    try {
+      for (const ShardSpec& shard : shards) {
+        const ShardSpec* spec = &shard;
+        futures.push_back(pool_->submit([&run_shard, spec] {
+          return run_shard(spec);
+        }));
+      }
+    } catch (...) {
+      // submit() can throw mid-fan-out (e.g. the pool shut down by its
+      // owner). Already-queued tasks hold pointers into `shards` and
+      // WILL still run (shutdown drains, it does not abort), so they
+      // must finish before this exception may unwind past the caller's
+      // arguments.
+      for (const auto& future : futures) future.wait();
+      throw;
     }
-  } catch (...) {
-    // submit() can throw mid-fan-out (e.g. a borrowed pool shut down by
-    // its owner). Already-queued tasks hold pointers into `shards` and
-    // WILL still run (shutdown drains, it does not abort), so they must
-    // finish before this exception may unwind past the caller's
-    // arguments.
+
+    // Wait for every shard before any get() can rethrow: queued tasks
+    // hold pointers into `shards`, which the caller may destroy during
+    // unwinding while the reused pool lives on -- no task may outlive
+    // this function.
     for (const auto& future : futures) future.wait();
-    throw;
+
+    // Merge in spec order, so the report layout never depends on which
+    // worker finished first.
+    std::size_t i = 0;
+    for (const ShardSpec& shard : shards) merge(shard.key, futures[i++].get());
   }
 
-  // Wait for every shard before any get() can rethrow: queued tasks
-  // hold pointers into `shards`, which the caller may destroy during
-  // unwinding while the reused pool lives on -- no task may outlive
-  // this function.
-  for (const auto& future : futures) future.wait();
-
-  // Merge in spec order (the map overload builds specs in sorted-key
-  // order), so the report layout never depends on which worker
-  // finished first.
-  KeyedReport report;
-  std::size_t i = 0;
-  for (const ShardSpec& shard : shards) {
-    report.per_key.emplace(shard.key, futures[i++].get());
+  // A shard skipped by the caller's cancel or deadline means the run
+  // stopped early; the first such reason in key order says why.
+  for (const auto& [key, result] : report.per_key) {
+    const Verdict& verdict = result.verdict;
+    if (verdict.outcome == Outcome::undecided &&
+        (verdict.reason == kSkipCancelledReason ||
+         verdict.reason == kSkipDeadlineReason)) {
+      report.cancelled = true;
+      report.stop_reason = verdict.reason;
+      break;
+    }
   }
   return report;
 }

@@ -9,9 +9,7 @@
 // operations or a std::runtime_error with the same message, offset
 // included). See store/block_cursor.h for the contract this enforces.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -23,32 +21,13 @@
 #include "store/block_cursor.h"
 #include "store/mapped_segment.h"
 #include "store/segment_writer.h"
+#include "test_support.h"
 #include "util/simd.h"
 
 namespace kav {
 namespace {
 
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::path(::testing::TempDir()) /
-              ("kav_cursor_" + tag + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 KeyedTrace sample_trace() {
   KeyedTrace trace;

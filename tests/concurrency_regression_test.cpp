@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -39,29 +38,12 @@
 #include "obs/metrics.h"
 #include "pipeline/thread_pool.h"
 #include "store/trace_store.h"
+#include "test_support.h"
 
 namespace kav {
 namespace {
 
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::path(::testing::TempDir()) /
-              ("kav_conc_" + tag + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 KeyedTrace small_trace(int salt) {
   KeyedTrace trace;
@@ -205,7 +187,7 @@ TEST(ConcurrencyRegression, FinishRacesBackpressuredDrains) {
   EXPECT_EQ(backlog, 0.0);
 }
 
-// A borrowed pool shut down by its owner rejects the drain task. The
+// A pool shut down by its owner rejects the drain task. The
 // claim must be undone: the next ingest tries (and fails) again rather
 // than queueing behind a drainer that will never run, finish() still
 // checks what was ingested, and the destructor's quiesce() returns.

@@ -2,15 +2,13 @@
 // VerifyOptions overrides), pool sharing (one Engine running batch and
 // monitor work creates exactly one ThreadPool -- the created_count
 // hook), cancellation and deadline semantics, TraceSource equivalence
-// (memory == text file == binary file == push), the unified Report /
-// one-formatter summary contract, and the legacy facade wrappers.
+// (memory == text file == binary file == push), the Report /
+// one-formatter summary contract, and borrowed pools used directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -18,10 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "gen/generators.h"
 #include "kav.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -89,18 +86,6 @@ TEST(Engine, BatchAndMonitorShareExactlyOnePool) {
     EXPECT_EQ(engine.thread_count(), 2u);
   }
   EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before + 1);
-}
-
-TEST(Engine, LegacyWrappersSpawnAPoolPerCall) {
-  // The cost the session API removes: each legacy parallel/monitor
-  // facade call builds a temporary Engine with its own pool.
-  const KeyedTrace trace = multi_key_trace(2, 10, 9);
-  const std::uint64_t pools_before = pipeline::ThreadPool::created_count();
-  PipelineOptions pipeline;
-  pipeline.threads = 1;
-  verify_keyed_trace(trace, {}, pipeline);
-  verify_keyed_trace(trace, {}, pipeline);
-  EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before + 2);
 }
 
 TEST(Engine, PoolIsExposedForSideWork) {
@@ -305,16 +290,6 @@ class EngineSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     trace_ = multi_key_trace(5, 14, 77);
-    // One set of files per test and process: `ctest -j` runs every
-    // case in its own process, so shared names would let one case's
-    // TearDown delete another's input.
-    const std::string stem =
-        ::testing::TempDir() + "engine_source_test_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        "_" + std::to_string(::getpid());
-    text_path_ = stem + ".txt";
-    binary_path_ = stem + ".kavb";
-    indexed_path_ = stem + "_v2.kavb";
     write_trace_file(text_path_, trace_);
     write_binary_trace_file(binary_path_, trace_);
     std::ofstream out(indexed_path_, std::ios::binary);
@@ -325,16 +300,14 @@ class EngineSourceTest : public ::testing::Test {
     writer.finish();
   }
 
-  void TearDown() override {
-    std::remove(text_path_.c_str());
-    std::remove(binary_path_.c_str());
-    std::remove(indexed_path_.c_str());
-  }
-
+  // Named after the test and the pid, so `ctest -j` cases never share
+  // (and delete) each other's files.
+  test::TempDir dir_;
   KeyedTrace trace_;
-  std::string text_path_;
-  std::string binary_path_;
-  std::string indexed_path_;  // .kavb v2: a SelectiveTraceSource
+  const std::string text_path_ = dir_.file("trace.txt");
+  const std::string binary_path_ = dir_.file("trace.kavb");
+  // .kavb v2: a SelectiveTraceSource
+  const std::string indexed_path_ = dir_.file("trace_v2.kavb");
 };
 
 TEST_F(EngineSourceTest, MemoryTextAndBinarySourcesVerifyIdentically) {
@@ -413,17 +386,16 @@ TEST_F(EngineSourceTest, MonitorAgreesAcrossFileFormats) {
   }
 }
 
-TEST_F(EngineSourceTest, DrainEqualsLegacyReadAnyTraceFile) {
-  auto text = open_trace_source(text_path_);
-  const KeyedTrace drained = drain(*text);
-  const KeyedTrace legacy = read_any_trace_file(binary_path_);
-  ASSERT_EQ(drained.size(), trace_.size());
-  ASSERT_EQ(legacy.size(), trace_.size());
+TEST_F(EngineSourceTest, DrainReadsTextAndBinaryIdentically) {
+  const KeyedTrace from_text = drain(*open_trace_source(text_path_));
+  const KeyedTrace from_binary = drain(*open_trace_source(binary_path_));
+  ASSERT_EQ(from_text.size(), trace_.size());
+  ASSERT_EQ(from_binary.size(), trace_.size());
   for (std::size_t i = 0; i < trace_.size(); ++i) {
-    EXPECT_EQ(drained.ops[i].key, trace_.ops[i].key);
-    EXPECT_EQ(legacy.ops[i].key, trace_.ops[i].key);
-    EXPECT_TRUE(drained.ops[i].op == trace_.ops[i].op);
-    EXPECT_TRUE(legacy.ops[i].op == trace_.ops[i].op);
+    EXPECT_EQ(from_text.ops[i].key, trace_.ops[i].key);
+    EXPECT_EQ(from_binary.ops[i].key, trace_.ops[i].key);
+    EXPECT_TRUE(from_text.ops[i].op == trace_.ops[i].op);
+    EXPECT_TRUE(from_binary.ops[i].op == trace_.ops[i].op);
   }
 }
 
@@ -542,16 +514,16 @@ TEST(EngineReport, OneFormatterAcrossBatchMonitorAndLegacy) {
   Engine engine;
   const std::string batch = engine.verify(trace).summary();
   const std::string monitor = engine.monitor(trace).summary();
-  const std::string legacy_batch = verify_keyed_trace(trace).summary();
-  MonitorOptions monitor_options;
-  monitor_options.threads = 1;
-  const std::string legacy_monitor =
-      monitor_trace(trace, monitor_options).summary();
+  const std::string serial_batch = verify_keyed_trace(trace).summary();
+  EngineOptions one_thread;
+  one_thread.threads = 1;
+  const std::string one_thread_monitor =
+      Engine(one_thread).monitor(trace).summary();
 
-  // Same grep-able shape everywhere; batch and legacy batch agree
-  // exactly, monitor paths agree exactly.
-  EXPECT_EQ(batch, legacy_batch);
-  EXPECT_EQ(monitor, legacy_monitor);
+  // Same grep-able shape everywhere; batch and the serial oracle agree
+  // exactly, monitor runs agree exactly at any pool size.
+  EXPECT_EQ(batch, serial_batch);
+  EXPECT_EQ(monitor, one_thread_monitor);
   for (const std::string& line : {batch, monitor}) {
     EXPECT_NE(line.find("/4 keys atomic within bound"), std::string::npos)
         << line;
@@ -564,7 +536,9 @@ TEST(EngineReport, BatchFillsVerifyTotalsMonitorFillsMonitorTotals) {
   Engine engine;
   const Report batch = engine.verify(trace);
   EXPECT_EQ(batch.mode, Report::Mode::batch);
-  EXPECT_TRUE(batch.verify_totals == verify_keyed_trace(trace).total_stats());
+  const Report serial = verify_keyed_trace(trace);
+  EXPECT_EQ(serial.mode, Report::Mode::batch);
+  EXPECT_TRUE(batch.verify_totals == serial.verify_totals);
   EXPECT_EQ(batch.monitor_totals.operations_ingested, 0u);
 
   const Report live = engine.monitor(trace);
@@ -600,7 +574,7 @@ TEST(EngineReport, MonitorFindingsFlowThroughOnFinding) {
   for (const std::string& key : live_keys) EXPECT_EQ(key, "a");
 }
 
-// --- Borrowed pools (the satellite refactor, used directly) ---------------
+// --- Borrowed pools, used directly -----------------------------------------
 
 TEST(BorrowedPool, ShardedVerifierRunsOnACallerPool) {
   const KeyedTrace trace = multi_key_trace(4, 12, 13);
@@ -608,13 +582,13 @@ TEST(BorrowedPool, ShardedVerifierRunsOnACallerPool) {
   const std::uint64_t pools_before = pipeline::ThreadPool::created_count();
   ShardedVerifier verifier(pool);
   EXPECT_EQ(verifier.thread_count(), 2u);
-  const KeyedReport parallel = verifier.verify(trace);
+  KeyGroups groups = group_by_key(trace);
+  const Report parallel = verifier.verify_shards(lazy_shards(groups), {});
   EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before);
-  const KeyedReport serial = verify_keyed_trace(trace);
-  ASSERT_EQ(parallel.per_key.size(), serial.per_key.size());
-  for (const auto& [key, verdict] : serial.per_key) {
-    expect_verdicts_equal(parallel.per_key.at(key), verdict);
-  }
+  EXPECT_EQ(parallel.mode, Report::Mode::batch);
+  const Report serial = verify_keyed_trace(trace);
+  EXPECT_TRUE(parallel.verify_totals == serial.verify_totals);
+  expect_reports_equal(parallel, serial);
 }
 
 // --- Observability (src/obs/ wired through the engine) --------------------
@@ -732,18 +706,15 @@ TEST(EngineObs, CatalogSpansEveryLayerWithAtLeast25Metrics) {
   const KeyedTrace trace = multi_key_trace(3, 12, 19);
   engine.verify(trace);
   engine.monitor(trace);
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "kav_engine_obs_catalog";
-  std::filesystem::remove_all(dir);
   {
-    auto store = engine.open_store(dir.string());
+    const test::TempDir dir;
+    auto store = engine.open_store(dir.path().string());
     store->append(trace);
     store->contains("key0");
     store->contains("no-such-key");
     store->run_maintenance();
     store->fsck();
   }
-  std::filesystem::remove_all(dir);
 
   std::set<std::string> names;
   const obs::RegistrySnapshot snap = engine.snapshot();

@@ -5,9 +5,9 @@
 //      (any trace the text format can express);
 //   2. monitor-vs-batch differential -- on randomized multi-key traces
 //      delivered with bounded (in-slack, in-horizon) reordering, the
-//      KeyedStreamingMonitor must flag exactly the keys the batch
-//      verify_keyed_trace(k=2) facade answers NO for, with zero late
-//      arrivals and a window that never holds the whole trace.
+//      KeyedStreamingMonitor must flag exactly the keys the serial
+//      batch oracle verify_keyed_trace(k=2) answers NO for, with zero
+//      late arrivals and a window that never holds the whole trace.
 //
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
 // every failure, so any finding reproduces with
@@ -26,6 +26,7 @@
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
 #include "ingest/keyed_monitor.h"
+#include "pipeline/thread_pool.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -179,15 +180,15 @@ TEST(IngestFuzz, MonitorFlagsExactlyTheBatchNoKeys) {
 
     VerifyOptions batch_options;
     batch_options.k = 2;
-    const KeyedReport batch = verify_keyed_trace(trace, batch_options);
+    const Report batch = verify_keyed_trace(trace, batch_options);
 
     for (std::size_t threads : {1u, 4u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       MonitorOptions options;
       options.streaming.staleness_horizon = 1 << 24;  // in-horizon regime
       options.reorder_slack = kSlack;
-      options.threads = threads;
-      KeyedStreamingMonitor monitor(options);
+      pipeline::ThreadPool pool(threads);
+      KeyedStreamingMonitor monitor(pool, options);
       for (const Arrival& arrival : arrivals) {
         monitor.ingest(trace.ops[arrival.index]);
       }
@@ -195,8 +196,9 @@ TEST(IngestFuzz, MonitorFlagsExactlyTheBatchNoKeys) {
 
       ASSERT_EQ(report.per_key.size(), batch.per_key.size());
       EXPECT_EQ(report.totals.late_arrivals, 0u);
-      for (const auto& [key, verdict] : batch.per_key) {
+      for (const auto& [key, result] : batch.per_key) {
         SCOPED_TRACE("key " + key);
+        const Verdict& verdict = result.verdict;
         ASSERT_TRUE(report.per_key.count(key));
         const KeyMonitorResult& streamed = report.per_key.at(key);
         ASSERT_TRUE(verdict.decided()) << verdict.reason;

@@ -6,19 +6,21 @@
 // guarantee on a long steady stream).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/streaming.h"
-#include "core/verify.h"
 #include "gen/generators.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
 #include "ingest/keyed_monitor.h"
 #include "ingest/reorder_buffer.h"
+#include "ingest/trace_source.h"
+#include "pipeline/thread_pool.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -184,17 +186,15 @@ TEST(BinaryTrace, WriterRejectsMalformedIntervals) {
 
 TEST(BinaryTrace, FileRoundTripAndSniffing) {
   const KeyedTrace trace = sample_trace();
-  const std::string dir = testing::TempDir();
-  const std::string binary_path = dir + "/kav_ingest_test.kavb";
-  const std::string text_path = dir + "/kav_ingest_test.trace";
+  const test::TempDir dir;
+  const std::string binary_path = dir.file("trace.kavb");
+  const std::string text_path = dir.file("trace.trace");
   write_binary_trace_file(binary_path, trace);
   write_trace_file(text_path, trace);
   EXPECT_TRUE(is_binary_trace_file(binary_path));
   EXPECT_FALSE(is_binary_trace_file(text_path));
-  expect_traces_equal(trace, read_any_trace_file(binary_path));
-  expect_traces_equal(trace, read_any_trace_file(text_path));
-  std::remove(binary_path.c_str());
-  std::remove(text_path.c_str());
+  expect_traces_equal(trace, drain(*open_trace_source(binary_path)));
+  expect_traces_equal(trace, drain(*open_trace_source(text_path)));
 }
 
 TEST(BinaryTrace, ConvertersAreLossless) {
@@ -307,12 +307,21 @@ TEST(StreamingReset, ResetChecksLikeAFreshInstance) {
 
 // --- KeyedStreamingMonitor -------------------------------------------------
 
-MonitorOptions test_options(std::size_t threads = 2) {
+MonitorOptions test_options() {
   MonitorOptions options;
   options.streaming.staleness_horizon = 1 << 24;
   options.reorder_slack = 1 << 20;
-  options.threads = threads;
   return options;
+}
+
+// A whole trace through Engine::monitor, with test_options()'s horizon
+// and slack on a two-worker pool.
+Report monitor_on_engine(const KeyedTrace& trace) {
+  EngineOptions options;
+  options.threads = 2;
+  options.streaming = test_options().streaming;
+  options.reorder_slack = test_options().reorder_slack;
+  return Engine(options).monitor(trace);
 }
 
 TEST(KeyedMonitor, CleanStreamsComeOutClean) {
@@ -327,15 +336,15 @@ TEST(KeyedMonitor, CleanStreamsComeOutClean) {
       trace.add("k" + std::to_string(k), op);
     }
   }
-  const MonitorReport report = monitor_trace(trace, test_options());
-  EXPECT_TRUE(report.all_clean());
+  const Report report = monitor_on_engine(trace);
   ASSERT_EQ(report.per_key.size(), 4u);
-  EXPECT_EQ(report.totals.keys, 4u);
-  EXPECT_EQ(report.totals.operations_ingested, trace.size());
-  EXPECT_EQ(report.totals.late_arrivals, 0u);
-  EXPECT_EQ(report.totals.violations, 0u);
+  EXPECT_EQ(report.monitor_totals.keys, 4u);
+  EXPECT_EQ(report.monitor_totals.operations_ingested, trace.size());
+  EXPECT_EQ(report.monitor_totals.late_arrivals, 0u);
+  EXPECT_EQ(report.monitor_totals.violations, 0u);
   for (const auto& [key, result] : report.per_key) {
     EXPECT_TRUE(result.verdict.yes()) << key << ": " << result.verdict.reason;
+    EXPECT_TRUE(result.findings.empty()) << key;
   }
 }
 
@@ -350,22 +359,23 @@ TEST(KeyedMonitor, FlagsExactlyTheViolatingKey) {
   const History bad = gen::generate_forced_separation(2);
   for (const Operation& op : bad.operations()) trace.add("bad", op);
 
-  const MonitorReport report = monitor_trace(trace, test_options());
-  EXPECT_FALSE(report.all_clean());
+  const Report report = monitor_on_engine(trace);
+  EXPECT_GT(report.monitor_totals.violations, 0u);
   EXPECT_TRUE(report.per_key.at("good").verdict.yes());
   EXPECT_TRUE(report.per_key.at("bad").verdict.no());
-  ASSERT_EQ(report.totals.violations_per_key.size(), 1u);
-  EXPECT_EQ(report.totals.violations_per_key.begin()->first, "bad");
-  // The shared format_key_counts formatter (core/report.h): monitor
-  // summaries are grep-compatible with batch summaries.
+  ASSERT_EQ(report.monitor_totals.violations_per_key.size(), 1u);
+  EXPECT_EQ(report.monitor_totals.violations_per_key.begin()->first, "bad");
+  // Report::summary (core/report.h): monitor summaries are
+  // grep-compatible with batch summaries.
   EXPECT_EQ(report.summary(),
             "1/2 keys atomic within bound, 1 NO, 0 undecided, 0 invalid");
 }
 
 TEST(KeyedMonitor, ReportsLateArrivalsAsViolations) {
-  MonitorOptions options = test_options(1);
+  MonitorOptions options = test_options();
   options.reorder_slack = 5;
-  KeyedStreamingMonitor monitor(options);
+  pipeline::ThreadPool pool(1);
+  KeyedStreamingMonitor monitor(pool, options);
   monitor.ingest("k", make_write(100, 105, 1));
   monitor.ingest("k", make_read(10, 15, 1));  // 90 ticks behind: late
   const MonitorReport report = monitor.finish();
@@ -379,35 +389,39 @@ TEST(KeyedMonitor, ReportsLateArrivalsAsViolations) {
 }
 
 TEST(KeyedMonitor, BackpressureWithTinyQueuesStillCompletes) {
-  MonitorOptions options = test_options(2);
+  MonitorOptions options = test_options();
   options.queue_capacity = 1;
   Rng rng(13);
   gen::KAtomicConfig config;
   config.writes = 40;
   config.k = 2;
   const History shard = gen::generate_k_atomic(config, rng).history;
-  KeyedStreamingMonitor monitor(options);
+  pipeline::ThreadPool pool(2);
+  KeyedStreamingMonitor monitor(pool, options);
   for (const Operation& op : shard.operations()) monitor.ingest("k", op);
   const MonitorReport report = monitor.finish();
-  EXPECT_TRUE(report.all_clean());
+  EXPECT_EQ(report.totals.violations, 0u);
   EXPECT_EQ(report.totals.operations_ingested, shard.size());
 }
 
 TEST(KeyedMonitor, IngestAfterFinishThrows) {
-  KeyedStreamingMonitor monitor(test_options(1));
+  pipeline::ThreadPool pool(1);
+  KeyedStreamingMonitor monitor(pool, test_options());
   monitor.ingest("k", make_write(0, 5, 1));
   monitor.finish();
   EXPECT_THROW(monitor.ingest("k", make_write(10, 15, 2)), std::logic_error);
 }
 
 TEST(KeyedMonitor, FinishTwiceThrows) {
-  KeyedStreamingMonitor monitor(test_options(1));
+  pipeline::ThreadPool pool(1);
+  KeyedStreamingMonitor monitor(pool, test_options());
   monitor.finish();
   EXPECT_THROW(monitor.finish(), std::logic_error);
 }
 
 TEST(KeyedMonitor, MidStreamStatsSeeIngestedOps) {
-  KeyedStreamingMonitor monitor(test_options(1));
+  pipeline::ThreadPool pool(1);
+  KeyedStreamingMonitor monitor(pool, test_options());
   for (TimePoint t = 0; t < 100; t += 10) {
     monitor.ingest("a", make_write(t, t + 4, t));
     monitor.ingest("b", make_write(t + 1, t + 5, t + 1000));
@@ -427,9 +441,9 @@ TEST(KeyedMonitor, PeakWindowIsBoundedBySlackPlusHorizon) {
     MonitorOptions options;
     options.streaming.staleness_horizon = 1'000;
     options.reorder_slack = 100;
-    options.threads = 1;
     options.queue_capacity = 64;  // keeps un-drained backlog small too
-    KeyedStreamingMonitor monitor(options);
+    pipeline::ThreadPool pool(1);
+    KeyedStreamingMonitor monitor(pool, options);
     TimePoint t = 0;
     for (std::size_t i = 0; i < ops; i += 2) {
       const auto value = static_cast<Value>(i);
@@ -438,7 +452,7 @@ TEST(KeyedMonitor, PeakWindowIsBoundedBySlackPlusHorizon) {
       t += 10;  // ~0.2 ops per tick: window ~ (1000 + 100) / 5
     }
     const MonitorReport report = monitor.finish();
-    EXPECT_TRUE(report.all_clean());
+    EXPECT_EQ(report.totals.violations, 0u);
     return report.totals.peak_window;
   };
   const std::size_t peak_short = run(10'000);

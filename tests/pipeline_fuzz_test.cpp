@@ -1,8 +1,9 @@
 // Seeded differential fuzzing of the sharded pipeline: randomized
 // multi-key traces -- organic mixes, k-atomic-by-construction shards,
 // mutator-damaged shards (repairable and hard anomalies alike) -- must
-// produce a KeyedReport from the parallel path that is field-for-field
-// identical to the serial facade, for every thread count tried.
+// produce a Report from the parallel path that is field-for-field
+// identical to the serial verify_keyed_trace, for every thread count
+// tried.
 //
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
 // every failure, so any finding reproduces with
@@ -18,6 +19,7 @@
 #include "gen/mutators.h"
 #include "history/keyed_trace.h"
 #include "pipeline/sharded_verifier.h"
+#include "pipeline/thread_pool.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -64,23 +66,35 @@ History random_shard(Rng& rng) {
   return h;
 }
 
-void expect_reports_identical(const KeyedReport& serial,
-                              const KeyedReport& parallel) {
+void expect_reports_identical(const Report& serial, const Report& parallel) {
+  ASSERT_EQ(serial.mode, parallel.mode);
+  ASSERT_TRUE(serial.verify_totals == parallel.verify_totals);
   ASSERT_EQ(serial.per_key.size(), parallel.per_key.size());
   auto its = serial.per_key.begin();
   auto itp = parallel.per_key.begin();
   for (; its != serial.per_key.end(); ++its, ++itp) {
     SCOPED_TRACE("key " + its->first);
     ASSERT_EQ(its->first, itp->first);
-    ASSERT_EQ(its->second.outcome, itp->second.outcome)
-        << "serial: " << its->second.reason
-        << "\nparallel: " << itp->second.reason;
-    ASSERT_EQ(its->second.witness, itp->second.witness);
-    ASSERT_EQ(its->second.reason, itp->second.reason);
-    ASSERT_EQ(its->second.conflict, itp->second.conflict);
+    const Verdict& vs = its->second.verdict;
+    const Verdict& vp = itp->second.verdict;
+    ASSERT_EQ(vs.outcome, vp.outcome)
+        << "serial: " << vs.reason << "\nparallel: " << vp.reason;
+    ASSERT_EQ(vs.witness, vp.witness);
+    ASSERT_EQ(vs.reason, vp.reason);
+    ASSERT_EQ(vs.conflict, vp.conflict);
     // Defaulted operator== covers every counter, present and future.
-    ASSERT_TRUE(its->second.stats == itp->second.stats);
+    ASSERT_TRUE(vs.stats == vp.stats);
   }
+}
+
+// The parallel path: one lazy shard per key on a `threads`-worker pool.
+Report verify_parallel(const KeyedTrace& trace, std::size_t threads,
+                       const VerifyOptions& options = {},
+                       const PipelineOptions& pipeline = {}) {
+  pipeline::ThreadPool pool(threads);
+  ShardedVerifier verifier(pool, pipeline);
+  KeyGroups groups = group_by_key(trace);
+  return verifier.verify_shards(lazy_shards(groups), options);
 }
 
 TEST(PipelineFuzz, ParallelReportIdenticalToSerial) {
@@ -100,13 +114,11 @@ TEST(PipelineFuzz, ParallelReportIdenticalToSerial) {
     VerifyOptions options;
     options.k = 1 + static_cast<int>(rng.bounded(3));  // k in {1, 2, 3}
 
-    const KeyedReport serial = verify_keyed_trace(trace, options);
+    const Report serial = verify_keyed_trace(trace, options);
     for (std::size_t threads : {2u, 5u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      PipelineOptions pipeline;
-      pipeline.threads = threads;
-      expect_reports_identical(
-          serial, verify_keyed_trace(trace, options, pipeline));
+      expect_reports_identical(serial,
+                               verify_parallel(trace, threads, options));
     }
   }
 }
@@ -125,13 +137,10 @@ TEST(PipelineFuzz, BudgetCutoffIsDeterministicAcrossThreadCounts) {
         trace.add("k" + std::to_string(k), op);
       }
     }
-    PipelineOptions one_thread;
-    one_thread.threads = 1;
-    one_thread.shard_op_budget = 12;
-    PipelineOptions many_threads = one_thread;
-    many_threads.threads = 6;
-    expect_reports_identical(verify_keyed_trace(trace, {}, one_thread),
-                             verify_keyed_trace(trace, {}, many_threads));
+    PipelineOptions pipeline;
+    pipeline.shard_op_budget = 12;
+    expect_reports_identical(verify_parallel(trace, 1, {}, pipeline),
+                             verify_parallel(trace, 6, {}, pipeline));
   }
 }
 
@@ -165,17 +174,16 @@ TEST(PipelineFuzz, FailFastAlwaysSurfacesANo) {
     VerifyOptions options;
     options.k = 2;
     PipelineOptions pipeline;
-    pipeline.threads = 4;
     pipeline.fail_fast = true;
-    const KeyedReport report =
-        verify_keyed_trace(planted, options, pipeline);
+    const Report report = verify_parallel(planted, 4, options, pipeline);
     EXPECT_GE(report.count(Outcome::no), 1u);
-    EXPECT_TRUE(report.per_key.at(bad_key).no() ||
-                report.per_key.at(bad_key).outcome == Outcome::undecided);
-    for (const auto& [key, verdict] : report.per_key) {
-      if (verdict.outcome == Outcome::undecided) {
-        EXPECT_NE(verdict.reason.find("fail-fast"), std::string::npos)
-            << key << ": " << verdict.reason;
+    const Verdict& planted_verdict = report.per_key.at(bad_key).verdict;
+    EXPECT_TRUE(planted_verdict.no() ||
+                planted_verdict.outcome == Outcome::undecided);
+    for (const auto& [key, result] : report.per_key) {
+      if (result.verdict.outcome == Outcome::undecided) {
+        EXPECT_NE(result.verdict.reason.find("fail-fast"), std::string::npos)
+            << key << ": " << result.verdict.reason;
       }
     }
   }

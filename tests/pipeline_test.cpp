@@ -1,8 +1,9 @@
 // Tests for the parallel sharded verification pipeline: the thread
 // pool's contract (drain-on-shutdown, exception propagation, rejection
 // after shutdown), determinism of the sharded verifier across thread
-// counts (the report must be bit-identical to the serial facade),
-// fail-fast cancellation, per-shard budgets, and stats aggregation.
+// counts (the report must be bit-identical to the serial
+// verify_keyed_trace), fail-fast cancellation, per-shard budgets, and
+// stats aggregation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -125,41 +126,69 @@ KeyedTrace multi_key_trace(int keys, int ops_per_key, std::uint64_t seed) {
   return trace;
 }
 
-void expect_reports_identical(const KeyedReport& a, const KeyedReport& b) {
+void expect_reports_identical(const Report& a, const Report& b) {
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_TRUE(a.verify_totals == b.verify_totals);
+  EXPECT_EQ(a.cancelled, b.cancelled);
   ASSERT_EQ(a.per_key.size(), b.per_key.size());
   auto ita = a.per_key.begin();
   auto itb = b.per_key.begin();
   for (; ita != a.per_key.end(); ++ita, ++itb) {
     SCOPED_TRACE("key " + ita->first);
     ASSERT_EQ(ita->first, itb->first);
-    EXPECT_EQ(ita->second.outcome, itb->second.outcome);
-    EXPECT_EQ(ita->second.witness, itb->second.witness);
-    EXPECT_EQ(ita->second.reason, itb->second.reason);
-    EXPECT_EQ(ita->second.conflict, itb->second.conflict);
-    EXPECT_TRUE(ita->second.stats == itb->second.stats);
+    const Verdict& va = ita->second.verdict;
+    const Verdict& vb = itb->second.verdict;
+    EXPECT_EQ(va.outcome, vb.outcome);
+    EXPECT_EQ(va.witness, vb.witness);
+    EXPECT_EQ(va.reason, vb.reason);
+    EXPECT_EQ(va.conflict, vb.conflict);
+    EXPECT_TRUE(va.stats == vb.stats);
   }
+}
+
+// Verifies `trace` on `pool` as Engine::verify does: one lazy shard
+// per key, each History built on a worker.
+Report verify_on(pipeline::ThreadPool& pool, const KeyedTrace& trace,
+                 const VerifyOptions& options = {},
+                 const PipelineOptions& pipeline = {}) {
+  ShardedVerifier verifier(pool, pipeline);
+  KeyGroups groups = group_by_key(trace);
+  return verifier.verify_shards(lazy_shards(groups), options);
+}
+
+// One pinned spec per pre-split shard, in key order.
+std::vector<ShardSpec> pinned_specs(const KeyedHistories& shards) {
+  std::vector<ShardSpec> specs;
+  for (const auto& [key, history] : shards.per_key) {
+    ShardSpec spec;
+    spec.key = key;
+    spec.op_count = history.size();
+    spec.pinned = &history;
+    specs.push_back(std::move(spec));
+  }
+  return specs;
 }
 
 TEST(ShardedVerifier, IdenticalToSerialAcrossThreadCounts) {
   const KeyedTrace trace = multi_key_trace(12, 24, 91);
   VerifyOptions options;
   options.k = 2;
-  const KeyedReport serial = verify_keyed_trace(trace, options);
+  const Report serial = verify_keyed_trace(trace, options);
   for (std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    PipelineOptions pipeline;
-    pipeline.threads = threads;
-    expect_reports_identical(serial,
-                             verify_keyed_trace(trace, options, pipeline));
+    pipeline::ThreadPool pool(threads);
+    expect_reports_identical(serial, verify_on(pool, trace, options));
   }
 }
 
 TEST(ShardedVerifier, EmptyTrace) {
-  ShardedVerifier verifier;
-  const KeyedReport report = verifier.verify(KeyedTrace{});
+  pipeline::ThreadPool pool(1);
+  const Report report = verify_on(pool, KeyedTrace{});
+  EXPECT_EQ(report.mode, Report::Mode::batch);
   EXPECT_TRUE(report.per_key.empty());
   EXPECT_TRUE(report.all_yes());  // vacuously
-  EXPECT_TRUE(report.total_stats() == VerifyStats{});
+  EXPECT_TRUE(report.verify_totals == VerifyStats{});
+  EXPECT_FALSE(report.cancelled);
 }
 
 TEST(ShardedVerifier, SingleKeyMatchesSingleRegisterFacade) {
@@ -169,36 +198,34 @@ TEST(ShardedVerifier, SingleKeyMatchesSingleRegisterFacade) {
   trace.add("solo", make_read(40, 50, 1));
   VerifyOptions options;
   options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = 2;
-  const KeyedReport report = verify_keyed_trace(trace, options, pipeline);
+  pipeline::ThreadPool pool(2);
+  const Report report = verify_on(pool, trace, options);
   ASSERT_EQ(report.per_key.size(), 1u);
   const Verdict direct =
       verify_k_atomicity(split_by_key(trace).per_key.at("solo"), options);
-  EXPECT_EQ(report.per_key.at("solo").outcome, direct.outcome);
-  EXPECT_EQ(report.per_key.at("solo").witness, direct.witness);
+  EXPECT_EQ(report.per_key.at("solo").verdict.outcome, direct.outcome);
+  EXPECT_EQ(report.per_key.at("solo").verdict.witness, direct.witness);
 }
 
 TEST(ShardedVerifier, TotalStatsAggregatesPerKeyCounters) {
   const KeyedTrace trace = multi_key_trace(6, 20, 17);
-  PipelineOptions pipeline;
-  pipeline.threads = 4;
-  ShardedVerifier verifier({}, pipeline);
-  const KeyedReport report = verifier.verify(trace);
+  pipeline::ThreadPool pool(4);
+  const Report report = verify_on(pool, trace);
   VerifyStats manual;
-  for (const auto& [key, verdict] : report.per_key) {
-    manual.epochs += verdict.stats.epochs;
-    manual.candidates_tried += verdict.stats.candidates_tried;
-    manual.steps += verdict.stats.steps;
-    manual.chunks += verdict.stats.chunks;
-    manual.dangling += verdict.stats.dangling;
-    manual.orders_tested += verdict.stats.orders_tested;
-    manual.nodes += verdict.stats.nodes;
+  for (const auto& [key, result] : report.per_key) {
+    const VerifyStats& stats = result.verdict.stats;
+    manual.epochs += stats.epochs;
+    manual.candidates_tried += stats.candidates_tried;
+    manual.steps += stats.steps;
+    manual.chunks += stats.chunks;
+    manual.dangling += stats.dangling;
+    manual.orders_tested += stats.orders_tested;
+    manual.nodes += stats.nodes;
   }
-  EXPECT_TRUE(report.total_stats() == manual);
+  EXPECT_TRUE(report.verify_totals == manual);
   // The aggregate effort must also match the serial path's.
-  EXPECT_TRUE(report.total_stats() ==
-              verify_keyed_trace(trace).total_stats());
+  EXPECT_TRUE(report.verify_totals ==
+              verify_keyed_trace(trace).verify_totals);
 }
 
 KeyedTrace one_bad_key_trace(int good_keys) {
@@ -220,19 +247,21 @@ TEST(ShardedVerifier, FailFastSkipsShardsAfterNo) {
   VerifyOptions options;
   options.k = 2;
   PipelineOptions pipeline;
+  pipeline.fail_fast = true;
   // One worker executes shards strictly in submission (key) order, so
   // the NO on "a" lands before any "b*" shard starts: the skip set is
   // deterministic here.
-  pipeline.threads = 1;
-  pipeline.fail_fast = true;
-  const KeyedReport report = verify_keyed_trace(trace, options, pipeline);
-  EXPECT_TRUE(report.per_key.at("a").no());
+  pipeline::ThreadPool pool(1);
+  const Report report = verify_on(pool, trace, options, pipeline);
+  EXPECT_TRUE(report.per_key.at("a").verdict.no());
   EXPECT_EQ(report.count(Outcome::no), 1u);
   EXPECT_EQ(report.count(Outcome::undecided), 6u);
-  for (const auto& [key, verdict] : report.per_key) {
+  // Fail-fast is the pipeline's own early stop, not the caller's.
+  EXPECT_FALSE(report.cancelled);
+  for (const auto& [key, result] : report.per_key) {
     if (key == "a") continue;
-    EXPECT_EQ(verdict.outcome, Outcome::undecided);
-    EXPECT_NE(verdict.reason.find("fail-fast"), std::string::npos);
+    EXPECT_EQ(result.verdict.outcome, Outcome::undecided);
+    EXPECT_NE(result.verdict.reason.find("fail-fast"), std::string::npos);
   }
 }
 
@@ -240,9 +269,8 @@ TEST(ShardedVerifier, FailFastOffDecidesEveryShard) {
   const KeyedTrace trace = one_bad_key_trace(6);
   VerifyOptions options;
   options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = 4;
-  const KeyedReport report = verify_keyed_trace(trace, options, pipeline);
+  pipeline::ThreadPool pool(4);
+  const Report report = verify_on(pool, trace, options);
   EXPECT_EQ(report.count(Outcome::no), 1u);
   EXPECT_EQ(report.count(Outcome::yes), 6u);
   EXPECT_EQ(report.count(Outcome::undecided), 0u);
@@ -252,30 +280,32 @@ TEST(ShardedVerifier, FailFastDoesNotPoisonLaterCalls) {
   VerifyOptions options;
   options.k = 2;
   PipelineOptions pipeline;
-  pipeline.threads = 1;
   pipeline.fail_fast = true;
-  ShardedVerifier verifier(options, pipeline);
-  const KeyedReport first = verifier.verify(one_bad_key_trace(3));
+  pipeline::ThreadPool pool(1);
+  ShardedVerifier verifier(pool, pipeline);
+  KeyGroups bad = group_by_key(one_bad_key_trace(3));
+  const Report first = verifier.verify_shards(lazy_shards(bad), options);
   EXPECT_EQ(first.count(Outcome::undecided), 3u);
   // A clean trace on the same verifier must verify fully: the
   // cancellation flag is per call, and the pool is reused.
-  const KeyedReport second = verifier.verify(multi_key_trace(4, 10, 5));
+  KeyGroups clean = group_by_key(multi_key_trace(4, 10, 5));
+  const Report second = verifier.verify_shards(lazy_shards(clean), options);
   EXPECT_EQ(second.count(Outcome::undecided), 0u);
 }
 
 TEST(ShardedVerifier, PerCallOptionsReuseOnePool) {
   const KeyedTrace trace = multi_key_trace(5, 16, 33);
   const KeyedHistories shards = split_by_key(trace);
-  PipelineOptions pipeline;
-  pipeline.threads = 2;
-  ShardedVerifier verifier({}, pipeline);  // constructed with k = 2
+  const std::vector<ShardSpec> specs = pinned_specs(shards);
+  pipeline::ThreadPool pool(2);
+  ShardedVerifier verifier(pool);
   VerifyOptions options;
   options.k = 1;
   expect_reports_identical(verify_keyed_trace(trace, options),
-                           verifier.verify(shards, options));
+                           verifier.verify_shards(specs, options));
   options.k = 2;
   expect_reports_identical(verify_keyed_trace(trace, options),
-                           verifier.verify(shards, options));
+                           verifier.verify_shards(specs, options));
 }
 
 TEST(ShardedVerifier, ShardOpBudgetSkipsOversizedShards) {
@@ -286,25 +316,28 @@ TEST(ShardedVerifier, ShardOpBudgetSkipsOversizedShards) {
     trace.add("large", make_write(i * 100, i * 100 + 10, i + 1));
   }
   PipelineOptions pipeline;
-  pipeline.threads = 2;
   pipeline.shard_op_budget = 3;
-  const KeyedReport report = verify_keyed_trace(trace, {}, pipeline);
-  EXPECT_TRUE(report.per_key.at("small").yes());
-  EXPECT_EQ(report.per_key.at("large").outcome, Outcome::undecided);
-  EXPECT_NE(report.per_key.at("large").reason.find("budget"),
+  pipeline::ThreadPool pool(2);
+  const Report report = verify_on(pool, trace, {}, pipeline);
+  EXPECT_TRUE(report.per_key.at("small").verdict.yes());
+  EXPECT_EQ(report.per_key.at("large").verdict.outcome, Outcome::undecided);
+  EXPECT_NE(report.per_key.at("large").verdict.reason.find("budget"),
             std::string::npos);
+  EXPECT_FALSE(report.cancelled);
 }
 
 TEST(ShardedVerifier, LazyShardsMatchPinnedShards) {
   const KeyedTrace trace = multi_key_trace(6, 24, 29);
-  ShardedVerifier verifier;
+  pipeline::ThreadPool pool(2);
+  ShardedVerifier verifier(pool);
   KeyGroups groups = group_by_key(trace);
   const std::vector<ShardSpec> specs = lazy_shards(groups);
   ASSERT_EQ(specs.size(), 6u);
   EXPECT_EQ(specs.front().key, "key0");
   EXPECT_EQ(specs.front().op_count, groups.ops.front().size());
-  expect_reports_identical(verifier.verify(split_by_key(trace)),
-                           verifier.verify_shards(specs, {}, RunControl{}));
+  const KeyedHistories shards = split_by_key(trace);
+  expect_reports_identical(verifier.verify_shards(pinned_specs(shards), {}),
+                           verifier.verify_shards(specs, {}));
   // Each loader moved its bucket into the History it built.
   for (const std::vector<Operation>& ops : groups.ops) {
     EXPECT_TRUE(ops.empty());
@@ -331,17 +364,20 @@ TEST(ShardedVerifier, CancelFromOnKeyNeverLoadsTheRemainingShards) {
     ++callbacks;  // serialized by the verifier
     if (verdict.reason != kSkipCancelledReason) run.cancel.cancel();
   };
-  const KeyedReport report = verifier.verify_shards(specs, {}, run);
+  const Report report = verifier.verify_shards(specs, {}, run);
 
   EXPECT_EQ(loads.load(), 1);
   EXPECT_EQ(callbacks, 6);
   ASSERT_EQ(report.per_key.size(), 6u);
   EXPECT_EQ(report.count(Outcome::undecided), 5u);
   std::size_t skipped = 0;
-  for (const auto& [key, verdict] : report.per_key) {
-    if (verdict.reason == kSkipCancelledReason) ++skipped;
+  for (const auto& [key, result] : report.per_key) {
+    if (result.verdict.reason == kSkipCancelledReason) ++skipped;
   }
   EXPECT_EQ(skipped, 5u);
+  // A cancel-skipped shard marks the whole report cancelled.
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_EQ(report.stop_reason, kSkipCancelledReason);
   // The skipped keys' buckets were never moved out.
   std::size_t untouched = 0;
   for (const std::vector<Operation>& ops : groups.ops) {

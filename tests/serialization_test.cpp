@@ -2,12 +2,13 @@
 // numbers, and interop with the keyed verification pipeline.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "gen/generators.h"
 #include "history/serialization.h"
 #include "quorum/sim.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -98,12 +99,12 @@ TEST(Serialization, ParseHistoryRejectsMultiKey) {
 TEST(Serialization, FileRoundTrip) {
   KeyedTrace trace;
   trace.add("k", make_write(0, 10, 1));
-  const std::string path = testing::TempDir() + "/kav_trace_test.txt";
+  const test::TempDir dir;
+  const std::string path = dir.file("trace.txt");
   write_trace_file(path, trace);
   const KeyedTrace back = read_trace_file(path);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back.ops[0].op, trace.ops[0].op);
-  std::remove(path.c_str());
 }
 
 TEST(Serialization, MissingFileThrows) {

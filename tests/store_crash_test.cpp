@@ -31,29 +31,14 @@
 #include "ingest/trace_source.h"
 #include "store/fault_injection.h"
 #include "store/trace_store.h"
+#include "test_support.h"
 
 namespace kav {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::path(::testing::TempDir()) /
-              ("kav_crash_" + tag + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 KeyedTrace trace_chunk(int base) {
   KeyedTrace trace;

@@ -27,7 +27,6 @@
 // KAV_FUZZ_TRIALS overrides the per-test trial count (ci.sh uses it to
 // keep the sanitizer job fast).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -46,6 +45,7 @@
 #include "store/indexed_source.h"
 #include "store/segment_writer.h"
 #include "store/trace_store.h"
+#include "test_support.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -71,26 +71,7 @@ int fuzz_trials(int fallback) {
   return fallback;
 }
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::path(::testing::TempDir()) /
-              ("kav_store_fuzz_" + tag + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const fs::path& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 // Multi-key trace with enough read/write structure that verdicts are a
 // mix of YES / NO / PRECONDITION-FAILED across trials: per key, writes
@@ -167,12 +148,12 @@ TEST(StoreFuzz, AllFormatsAndSelectiveRunsAgree) {
     const KeyedTrace trace = random_trace(rng);
     const std::string tag = std::to_string(trial);
 
-    // The reference: the serial legacy facade over the in-memory trace.
-    const KeyedReport reference = verify_keyed_trace(trace);
+    // The reference: the serial oracle over the in-memory trace.
+    const Report reference = verify_keyed_trace(trace);
     const Report full_memory = engine.verify(trace);
     ASSERT_EQ(full_memory.per_key.size(), reference.per_key.size());
-    for (const auto& [key, verdict] : reference.per_key) {
-      expect_verdict_equal(full_memory.per_key.at(key).verdict, verdict,
+    for (const auto& [key, result] : reference.per_key) {
+      expect_verdict_equal(full_memory.per_key.at(key).verdict, result.verdict,
                            "memory key " + key);
     }
 

@@ -8,7 +8,6 @@
 // file, bad magic, truncated header, truncated footer, index pointing
 // past EOF).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -32,6 +31,7 @@
 #include "store/mapped_segment.h"
 #include "store/segment_writer.h"
 #include "store/trace_store.h"
+#include "test_support.h"
 #include "util/crc32c.h"
 
 namespace kav {
@@ -39,28 +39,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// A per-test scratch directory under the gtest temp root, removed on
-// destruction so runs do not accumulate segment files.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::path(::testing::TempDir()) /
-              ("kav_store_" + tag + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const fs::path& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 KeyedTrace sample_trace() {
   KeyedTrace trace;

@@ -22,6 +22,11 @@ Rules (ids in parentheses; docs/STATIC_ANALYSIS.md has the catalog):
                        only inside src/util/thread_safety.h; everything
                        else uses the annotated kav::util wrappers so the
                        Clang thread-safety analysis sees every lock.
+  temp-path            ::testing::TempDir() appears only inside
+                       tests/test_support.h; tests take scratch space
+                       from its test::TempDir, which names each
+                       directory after the running test and the pid,
+                       so `ctest -j` cases never share files.
 
 Suppressions (each needs a justifying reason after the marker):
 
@@ -46,6 +51,7 @@ RULES = (
     "metric-names",
     "include-guard",
     "raw-sync-primitives",
+    "temp-path",
 )
 
 # Directories scanned during a repo run, relative to --root.
@@ -151,6 +157,7 @@ RAW_SYNC_RE = re.compile(
     r"|shared_mutex|shared_timed_mutex|condition_variable"
     r"|condition_variable_any|lock_guard|unique_lock|shared_lock"
     r"|scoped_lock)\b")
+GTEST_TEMP_DIR_RE = re.compile(r"\btesting\s*::\s*TempDir\s*\(")
 
 
 def rule_wire_encoding(relpath, _text, bare, findings):
@@ -241,8 +248,17 @@ def rule_raw_sync(relpath, _text, bare, findings):
                          "util/thread_safety.h so -Wthread-safety sees it"))
 
 
+def rule_temp_path(relpath, _text, bare, findings):
+    if relpath == "tests/test_support.h":
+        return
+    for m in GTEST_TEMP_DIR_RE.finditer(bare):
+        findings.append((m.start(), "temp-path",
+                         "raw gtest temp root; take a per-test, per-process "
+                         "directory from test::TempDir (tests/test_support.h)"))
+
+
 RULE_FUNCS = (rule_wire_encoding, rule_naked_new, rule_metric_names,
-              rule_include_guard, rule_raw_sync)
+              rule_include_guard, rule_raw_sync, rule_temp_path)
 
 
 INCLUDE_LINE_RE = re.compile(r"^[ \t]*#[ \t]*include\b.*$", re.MULTILINE)
