@@ -9,7 +9,10 @@
 # Usage: bench/run_bench.sh [--smoke] [build-dir]   (default: build)
 #   --smoke: quick mode for CI -- a 200k-op workload and minimal
 #            per-benchmark time, enough for a data point and to catch
-#            crashes/regressions in the bench binaries themselves.
+#            crashes/regressions in the bench binaries themselves. Its
+#            JSON goes to <build-dir>/bench-smoke/, and the guardrails
+#            read it there, so the committed trajectory files at the
+#            repo root are left alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +22,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
   shift
 fi
 BUILD_DIR="${1:-build}"
+OUT_DIR=.
+if [[ "$MODE" == smoke ]]; then
+  OUT_DIR="$BUILD_DIR/bench-smoke"
+  mkdir -p "$OUT_DIR"
+fi
 
 for bench in bench_ingest bench_pipeline bench_engine bench_store \
              bench_obs; do
@@ -36,8 +44,8 @@ if [[ "$MODE" == smoke ]]; then
   export KAV_BENCH_OPS="${KAV_BENCH_OPS:-200000}"
 fi
 
-"$BUILD_DIR/bench_ingest"   "${ARGS[@]}" --benchmark_out=BENCH_ingest.json
-"$BUILD_DIR/bench_pipeline" "${ARGS[@]}" --benchmark_out=BENCH_pipeline.json
+"$BUILD_DIR/bench_ingest"   "${ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_ingest.json"
+"$BUILD_DIR/bench_pipeline" "${ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_pipeline.json"
 ENGINE_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
   # The observability guardrail below compares a pair expected to
@@ -49,7 +57,7 @@ if [[ "$MODE" == smoke ]]; then
   ENGINE_ARGS+=(--benchmark_repetitions=15
                 --benchmark_enable_random_interleaving=true)
 fi
-"$BUILD_DIR/bench_engine"   "${ENGINE_ARGS[@]}" --benchmark_out=BENCH_engine.json
+"$BUILD_DIR/bench_engine"   "${ENGINE_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_engine.json"
 STORE_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
   # The guardrail below compares sub-0.1ms benchmarks; one 10ms sample
@@ -57,7 +65,7 @@ if [[ "$MODE" == smoke ]]; then
   # several repetitions.
   STORE_ARGS+=(--benchmark_repetitions=5)
 fi
-"$BUILD_DIR/bench_store"    "${STORE_ARGS[@]}" --benchmark_out=BENCH_store.json
+"$BUILD_DIR/bench_store"    "${STORE_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_store.json"
 OBS_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
   # The scrape-vs-no-scrape guardrail below uses the min over
@@ -65,7 +73,7 @@ if [[ "$MODE" == smoke ]]; then
   OBS_ARGS+=(--benchmark_repetitions=5
              --benchmark_enable_random_interleaving=true)
 fi
-"$BUILD_DIR/bench_obs"      "${OBS_ARGS[@]}" --benchmark_out=BENCH_obs.json
+"$BUILD_DIR/bench_obs"      "${OBS_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_obs.json"
 
 # Guardrail (smoke mode): the zero-copy decode+verify path must not be
 # slower than the materializing reference it replaced. The median of
@@ -74,10 +82,10 @@ fi
 # re-growing an Operation vector, a kernel falling off its vector
 # path) shows up far above that.
 if [[ "$MODE" == smoke ]]; then
-  python3 - <<'EOF'
+  python3 - "$OUT_DIR/BENCH_store.json" <<'EOF'
 import json, sys
 
-with open("BENCH_store.json") as f:
+with open(sys.argv[1]) as f:
     entries = json.load(f)["benchmarks"]
 results = {}
 for b in entries:
@@ -122,10 +130,10 @@ EOF
   # regressions this guardrail exists to catch sit far above floor +
   # 2%: one clock read per operation costs ~4ms at 200k smoke ops,
   # one atomic RMW per operation ~1ms.
-  python3 - <<'EOF'
+  python3 - "$OUT_DIR/BENCH_engine.json" <<'EOF'
 import json, sys
 
-with open("BENCH_engine.json") as f:
+with open(sys.argv[1]) as f:
     entries = json.load(f)["benchmarks"]
 results = {}
 for b in entries:
@@ -157,10 +165,10 @@ EOF
   # On a 1-vCPU box even throttled scrapers time-share the core, so
   # the honest noise band of this pair is wider than the engine
   # pair's.
-  python3 - <<'EOF'
+  python3 - "$OUT_DIR/BENCH_obs.json" <<'EOF'
 import json, sys
 
-with open("BENCH_obs.json") as f:
+with open(sys.argv[1]) as f:
     entries = json.load(f)["benchmarks"]
 results = {}
 for b in entries:
@@ -182,4 +190,4 @@ fi
 
 echo
 echo "wrote BENCH_ingest.json, BENCH_pipeline.json, BENCH_engine.json," \
-     "BENCH_store.json, and BENCH_obs.json ($MODE mode)"
+     "BENCH_store.json, and BENCH_obs.json to $OUT_DIR ($MODE mode)"

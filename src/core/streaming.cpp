@@ -4,7 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/fzf.h"
 #include "history/anomaly.h"
@@ -74,20 +78,87 @@ struct FlushScratch {
   std::vector<std::uint32_t> backward;          // cluster indices
   std::vector<Run> runs;
   std::vector<char> evict;
+  // The final chunk being decided: its clusters, then its operations
+  // laid out cluster by cluster (write first, then its reads), the
+  // offset of each cluster's write in that layout, and pass-A events.
+  std::vector<std::uint32_t> members;  // cluster indices
   std::vector<Operation> chunk;
+  std::vector<std::uint32_t> chunk_writes;
+  std::vector<TimeEvent> events;
 };
 
 thread_local FlushScratch t_scratch;
 
-// Scratch for a window of at most this many operations (~2.4 MB) stays
+// Scratch for a window of at most this many operations (~3 MB) stays
 // allocated between flushes; a flush of a larger window releases its
-// scratch when it ends. Every scratch vector holds at most one entry
-// per window operation, so `slots` bounds them all.
+// scratch when it ends. Every scratch vector holds at most two entries
+// per window operation, so the capacity of `slots` bounds them all.
 constexpr std::size_t kRetainedScratchOps = std::size_t{1} << 14;
 
 // Evicted write values left unmerged before flush_settled merges them,
 // while the merged prefix is smaller than this.
 constexpr std::size_t kUnmergedEvictions = 1'024;
+
+std::string chunk_span(TimePoint lo, TimePoint hi) {
+  return "settled chunk over [" + std::to_string(lo) + ", " +
+         std::to_string(hi) + "]";
+}
+
+// Decides the final chunk of clusters s.members over [lo, hi] -- more
+// than one cluster, or one whose read precedes its write
+// (`read_before_write`) -- and returns its finding, if any. `when` is
+// the watermark the finding records.
+std::optional<StreamingViolation> decide_chunk(
+    FlushScratch& s, std::span<const Operation> window, TimePoint lo,
+    TimePoint hi, bool read_before_write, TimePoint when) {
+  // Each cluster's write, then its reads: the layout pass B walks.
+  s.chunk.clear();
+  s.chunk_writes.clear();
+  for (std::uint32_t c : s.members) {
+    const RawCluster& cluster = s.clusters[c];
+    s.chunk_writes.push_back(static_cast<std::uint32_t>(s.chunk.size()));
+    s.chunk.push_back(window[cluster.write_pos]);
+    for (std::uint32_t r = cluster.reads_begin; r < cluster.reads_end; ++r) {
+      s.chunk.push_back(window[s.slots[r].pos]);
+    }
+  }
+  // A read that precedes its dictating write settles like any other
+  // cluster but cannot be normalized: report it once and let the chunk
+  // go, so the window keeps compacting. This is the only hard anomaly a
+  // chunk of whole clusters can hold, and naming it needs the raw
+  // History, so only a flagged chunk builds one.
+  if (read_before_write) {
+    const History raw(s.chunk);
+    const std::vector<Anomaly> hard = find_anomalies(raw).hard_anomalies();
+    if (!hard.empty()) {
+      return StreamingViolation{StreamingViolation::Kind::hard_anomaly, when,
+                                chunk_span(lo, hi) + " has a hard anomaly: " +
+                                    describe(hard.front(), raw)};
+    }
+  }
+  // Normalize in place from the layout (pass A over the whole chunk,
+  // pass B per cluster: a write's dictated reads follow it). This is
+  // normalize(History(chunk)) without its anomaly scan, and FZF skips
+  // its own: the flush has proved both scans clean -- duplicate write
+  // values never join a cluster, every read sits with its write, and
+  // none precedes it -- and pass A breaks every timestamp tie.
+  rank_event_times(s.chunk, s.events);
+  s.chunk_writes.push_back(static_cast<std::uint32_t>(s.chunk.size()));
+  for (std::size_t i = 0; i + 1 < s.chunk_writes.size(); ++i) {
+    TimePoint earliest_read_finish = kTimeMax;
+    for (std::uint32_t r = s.chunk_writes[i] + 1; r < s.chunk_writes[i + 1];
+         ++r) {
+      earliest_read_finish = std::min(earliest_read_finish, s.chunk[r].finish);
+    }
+    shorten_write(s.chunk[s.chunk_writes[i]], earliest_read_finish);
+  }
+  const Verdict verdict =
+      check_2atomicity_fzf(History(s.chunk), {.check_preconditions = false});
+  if (verdict.yes()) return std::nullopt;
+  return StreamingViolation{StreamingViolation::Kind::not_2atomic, when,
+                            chunk_span(lo, hi) +
+                                " is not 2-atomic: " + verdict.reason};
+}
 
 // A write that finished below this line can gain no more reads:
 // (watermark - horizon), saturating, and +infinity once finish() runs.
@@ -105,9 +176,18 @@ void StreamingChecker::add(const Operation& op) {
   if (finished_) {
     throw std::logic_error("StreamingChecker::add after finish()");
   }
+  ++stats_.operations_ingested;
+  if (op.start >= op.finish) {
+    // No History can hold it: reject it here, once, instead of letting
+    // every later flush of its chunk fail.
+    ++stats_.operations_evicted;
+    violations_.push_back({StreamingViolation::Kind::hard_anomaly, watermark_,
+                           "malformed operation " + describe(op) +
+                               ": start >= finish"});
+    return;
+  }
   window_.push_back(op);
   min_window_finish_ = std::min(min_window_finish_, op.finish);
-  ++stats_.operations_ingested;
   stats_.peak_window = std::max(stats_.peak_window, window_.size());
 }
 
@@ -327,37 +407,34 @@ void StreamingChecker::flush_settled(TimePoint settled_before) {
       s.evict[s.slots[r].pos] = 1;
     }
   };
-  bool read_before_write = false;
-  const auto append_cluster = [this, &s,
-                               &read_before_write](const RawCluster& cluster) {
-    s.chunk.push_back(window_[cluster.write_pos]);
-    for (std::uint32_t r = cluster.reads_begin; r < cluster.reads_end; ++r) {
-      s.chunk.push_back(window_[s.slots[r].pos]);
-    }
-    read_before_write |= cluster.read_before_write;
-  };
   for (const Run& run : s.runs) {
     if (!run.all_settled || run.hi >= settle_line) continue;
+    ++stats_.chunks_verified;
     // Member order -- forward zones by low, then the attached backward
-    // ones by low, each write before its reads -- fixes the chunk's op
-    // ids, which verdict reasons cite.
-    s.chunk.clear();
-    read_before_write = false;
+    // ones by low -- fixes the chunk's op ids, which verdict reasons cite.
+    s.members.clear();
     for (std::uint32_t i = run.f_begin; i < run.f_end; ++i) {
-      append_cluster(s.clusters[s.forward[i]]);
+      s.members.push_back(s.forward[i]);
     }
     for (std::uint32_t i = run.b_begin; i < run.b_end; ++i) {
-      const RawCluster& cluster = s.clusters[s.backward[i]];
-      if (cluster.attached) append_cluster(cluster);
+      if (s.clusters[s.backward[i]].attached) {
+        s.members.push_back(s.backward[i]);
+      }
     }
-    check_chunk(run.lo, run.hi, s.chunk, read_before_write);
-    for (std::uint32_t i = run.f_begin; i < run.f_end; ++i) {
-      evict_cluster(s.clusters[s.forward[i]]);
+    bool read_before_write = false;
+    for (std::uint32_t c : s.members) {
+      read_before_write |= s.clusters[c].read_before_write;
     }
-    for (std::uint32_t i = run.b_begin; i < run.b_end; ++i) {
-      const RawCluster& cluster = s.clusters[s.backward[i]];
-      if (cluster.attached) evict_cluster(cluster);
+    // A chunk of one forward cluster has one write, so its only write
+    // order [w] is viable (Lemma 4.2) unless a read precedes w: it is
+    // 2-atomic and needs no History.
+    if (s.members.size() > 1 || read_before_write) {
+      if (std::optional<StreamingViolation> found = decide_chunk(
+              s, window_, run.lo, run.hi, read_before_write, watermark_)) {
+        violations_.push_back(std::move(*found));
+      }
     }
+    for (std::uint32_t c : s.members) evict_cluster(s.clusters[c]);
   }
 
   // Settled dangling backward clusters below the settle line are
@@ -393,35 +470,6 @@ void StreamingChecker::flush_settled(TimePoint settled_before) {
   // A large window (a long horizon, a backlog) must not pin its
   // scratch on this thread for good.
   if (s.slots.capacity() > kRetainedScratchOps) s = FlushScratch{};
-}
-
-void StreamingChecker::check_chunk(TimePoint lo, TimePoint hi,
-                                   const std::vector<Operation>& ops,
-                                   bool read_before_write) {
-  ++stats_.chunks_verified;
-  const History raw(ops);
-  // A read that precedes its dictating write settles like any other
-  // cluster but cannot be normalized: report it once and let the chunk
-  // go, so the window keeps compacting. Each read shares its chunk with
-  // its write and values are unique per chunk, so find_anomalies can
-  // only find this anomaly here and runs only when a cluster flagged it.
-  std::vector<Anomaly> hard;
-  if (read_before_write) hard = find_anomalies(raw).hard_anomalies();
-  const auto span = [lo, hi] {
-    return "settled chunk over [" + std::to_string(lo) + ", " +
-           std::to_string(hi) + "]";
-  };
-  if (!hard.empty()) {
-    violations_.push_back(
-        {StreamingViolation::Kind::hard_anomaly, watermark_,
-         span() + " has a hard anomaly: " + describe(hard.front(), raw)});
-    return;
-  }
-  const Verdict verdict = check_2atomicity_fzf(normalize(raw));
-  if (!verdict.yes()) {
-    violations_.push_back({StreamingViolation::Kind::not_2atomic, watermark_,
-                           span() + " is not 2-atomic: " + verdict.reason});
-  }
 }
 
 }  // namespace kav

@@ -54,8 +54,8 @@ struct StreamingViolation {
     not_2atomic,        // a settled chunk failed Stage 2
     horizon_exceeded,   // read of an already-evicted write
     hard_anomaly,       // read without dictating write, duplicate write
-                        // value, or a settled chunk whose read precedes
-                        // its write
+                        // value, a settled chunk whose read precedes
+                        // its write, or a malformed operation
     late_arrival,       // ingest: arrival beyond the reorder slack
                         // (reported by ingest/keyed_monitor.h, never by
                         // StreamingChecker itself)
@@ -73,7 +73,9 @@ class StreamingChecker {
   // as long as each starts after the current watermark was honored
   // (i.e. op.start > last advance_watermark argument is NOT required
   // for ops already in flight; it is required that no *future* add()
-  // has start <= watermark).
+  // has start <= watermark). A malformed operation (start >= finish)
+  // is dropped as one hard_anomaly finding; it counts as ingested and
+  // evicted.
   void add(const Operation& op);
 
   // Promise: every operation added after this call starts strictly
@@ -105,12 +107,6 @@ class StreamingChecker {
 
  private:
   void flush_settled(TimePoint settled_before);
-  // Verifies one final chunk (its ops in member order) and records a
-  // not_2atomic or hard_anomaly finding for it. `read_before_write`:
-  // some read in the chunk finishes before its write starts, the only
-  // hard anomaly a chunk of whole clusters can hold.
-  void check_chunk(TimePoint lo, TimePoint hi,
-                   const std::vector<Operation>& ops, bool read_before_write);
   // Whether a write of `value` was ever evicted (horizon diagnostics).
   bool was_evicted(Value value);
   // Sorts the unmerged tail of evicted_values_ into the sorted prefix

@@ -156,42 +156,28 @@ bool is_normalized(const History& history) {
   return true;
 }
 
-History normalize(const History& history) {
-  if (!find_anomalies(history).repairable()) {
-    throw std::invalid_argument(
-        "normalize: history has hard anomalies; see find_anomalies");
-  }
-
-  const std::size_t n = history.size();
-  std::vector<Operation> ops(history.operations().begin(),
-                             history.operations().end());
-
-  // Pass A: uniquify timestamps while preserving "precedes" exactly.
-  // Sort all 2n events by (time, kind) with starts before finishes at
-  // equal time, then renumber sequentially. Strict inequalities are
-  // preserved; an old tie f == s (concurrent: precedence needs f < s)
-  // becomes f > s, keeping the pair concurrent.
-  struct Event {
-    TimePoint time;
-    bool is_finish;
-    OpId op;
-  };
-  std::vector<Event> events;
+void rank_event_times(std::span<Operation> ops,
+                      std::vector<TimeEvent>& events) {
+  const std::size_t n = ops.size();
+  events.clear();
   events.reserve(2 * n);
   for (OpId id = 0; id < n; ++id) {
     events.push_back({ops[id].start, false, id});
     events.push_back({ops[id].finish, true, id});
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.is_finish < b.is_finish;  // starts first
-                   });
+  // Starts before finishes at equal time; the op id completes the order
+  // (the push order), so no stable sort and no temporary buffer.
+  std::sort(events.begin(), events.end(),
+            [](const TimeEvent& a, const TimeEvent& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.is_finish != b.is_finish) return b.is_finish;
+              return a.op < b.op;
+            });
   // Space consecutive events by a gap wide enough that pass B's "-1"
   // adjustments land strictly between existing stamps.
   const TimePoint gap = static_cast<TimePoint>(n) + 2;
   for (std::size_t rank = 0; rank < events.size(); ++rank) {
-    const Event& ev = events[rank];
+    const TimeEvent& ev = events[rank];
     const TimePoint t = static_cast<TimePoint>(rank + 1) * gap;
     if (ev.is_finish) {
       ops[ev.op].finish = t;
@@ -199,22 +185,25 @@ History normalize(const History& history) {
       ops[ev.op].start = t;
     }
   }
+}
 
-  // Pass B: shorten writes so each finishes before the earliest finish
-  // among its dictated reads. New finish times sit at (multiple of
-  // gap) - 1, which cannot collide with any pass-A stamp, and two
-  // writes cannot collide with each other because their earliest
-  // dictated-read finishes are distinct events.
-  for (OpId w : history.writes_by_start()) {
-    TimePoint min_read_finish = kTimeMax;
-    for (OpId r : history.dictated_reads(w)) {
-      min_read_finish = std::min(min_read_finish, ops[r].finish);
-    }
-    if (min_read_finish != kTimeMax && ops[w].finish >= min_read_finish) {
-      ops[w].finish = min_read_finish - 1;
-    }
+History normalize(const History& history) {
+  if (!find_anomalies(history).repairable()) {
+    throw std::invalid_argument(
+        "normalize: history has hard anomalies; see find_anomalies");
   }
 
+  std::vector<Operation> ops(history.operations().begin(),
+                             history.operations().end());
+  std::vector<TimeEvent> events;
+  rank_event_times(ops, events);  // pass A
+  for (OpId w : history.writes_by_start()) {
+    TimePoint earliest_read_finish = kTimeMax;
+    for (OpId r : history.dictated_reads(w)) {
+      earliest_read_finish = std::min(earliest_read_finish, ops[r].finish);
+    }
+    shorten_write(ops[w], earliest_read_finish);  // pass B
+  }
   return History(std::move(ops));
 }
 

@@ -19,6 +19,7 @@
 #ifndef KAV_HISTORY_ANOMALY_H
 #define KAV_HISTORY_ANOMALY_H
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,36 @@ bool is_normalized(const History& history);
 // harmless (Section II-C). Throws std::invalid_argument if the history
 // has hard anomalies (normalize cannot give those meaning).
 History normalize(const History& history);
+
+// The two repair passes normalize() applies after its anomaly check,
+// for callers that have already proved the hard preconditions and lay
+// out the operations themselves (the streaming checker normalizes each
+// settled chunk straight from its cluster layout this way). Applying
+// both to a copy of history.operations() gives normalize(history)'s
+// operations exactly.
+//
+// Pass A: renumbers the 2n start/finish stamps of `ops` to distinct
+// multiples of (n + 2) in event order, starts before finishes at equal
+// time, so strict order is preserved and a tie f == s stays concurrent.
+// `events` is caller-owned scratch.
+struct TimeEvent {
+  TimePoint time = 0;
+  bool is_finish = false;
+  OpId op = 0;
+};
+void rank_event_times(std::span<Operation> ops, std::vector<TimeEvent>& events);
+
+// Pass B for one write, after pass A: moves its finish just below
+// `earliest_read_finish` (the earliest finish among its dictated reads;
+// kTimeMax when it has none) unless it already ends before it. The new
+// stamp sits between pass-A stamps and cannot collide with another
+// write's, since their earliest read finishes are distinct events.
+inline void shorten_write(Operation& write, TimePoint earliest_read_finish) {
+  if (earliest_read_finish != kTimeMax &&
+      write.finish >= earliest_read_finish) {
+    write.finish = earliest_read_finish - 1;
+  }
+}
 
 }  // namespace kav
 

@@ -284,6 +284,42 @@ TEST(Engine, HardAnomalyOnOneKeyLeavesTheMonitorReportIntact) {
   EXPECT_EQ(report.monitor_totals.operations_ingested, trace.size());
 }
 
+TEST(Engine, MalformedOperationOnOneKeyLeavesTheMonitorReportIntact) {
+  // One write on key "k" has start == finish, and its zone lies inside
+  // the forward zone [20, 22] of value 2. No chunk can hold it, so the
+  // monitor must drop it as one hard_anomaly finding on "k" and keep
+  // checking the 40,000 well-formed ops around it.
+  KeyedTrace trace;
+  for (int i = 0; i < 20'000; ++i) {
+    const TimePoint start = 10 + 20 * static_cast<TimePoint>(i);
+    trace.add("k", make_write(start, start + 10, 2 + i));
+    if (i == 0) trace.add("k", make_write(21, 21, 1));
+    trace.add("k", make_read(start + 12, start + 15, 2 + i));
+  }
+  trace.add("other", make_write(0, 4, 1));
+  trace.add("other", make_read(6, 9, 1));
+  EngineOptions options;
+  options.threads = 2;
+  options.streaming.staleness_horizon = 100;
+  options.reorder_slack = 10;
+  Engine engine(options);
+  Report report;
+  ASSERT_NO_THROW(report = engine.monitor(trace));
+  ASSERT_EQ(report.per_key.size(), 2u);
+  const KeyResult& bad = report.per_key.at("k");
+  EXPECT_TRUE(bad.verdict.no());
+  ASSERT_EQ(bad.findings.size(), 1u);
+  EXPECT_EQ(bad.findings.front().kind, StreamingViolation::Kind::hard_anomaly);
+  EXPECT_EQ(bad.findings.front().detail,
+            "malformed operation write(v=1) [21, 21): start >= finish");
+  EXPECT_EQ(bad.stream.operations_ingested, 40'001u);
+  EXPECT_EQ(bad.stream.operations_evicted, 40'001u);
+  const KeyResult& good = report.per_key.at("other");
+  EXPECT_TRUE(good.verdict.yes()) << good.verdict.reason;
+  EXPECT_TRUE(good.findings.empty());
+  EXPECT_EQ(report.monitor_totals.operations_ingested, trace.size());
+}
+
 // --- TraceSource equivalence ----------------------------------------------
 
 class EngineSourceTest : public ::testing::Test {

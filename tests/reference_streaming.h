@@ -6,8 +6,13 @@
 // window size after every call (tests/streaming_fuzz_test.cpp).
 //
 // A settled chunk with a hard anomaly (a read that precedes its
-// dictating write) becomes one hard_anomaly finding and is evicted,
-// exactly as in the production checker.
+// dictating write) becomes one hard_anomaly finding and is evicted, and
+// add() drops a malformed operation (start >= finish) as one
+// hard_anomaly finding, exactly as in the production checker. Every
+// other settled chunk here builds its raw History and goes through
+// find_anomalies, normalize and FZF with its precondition scan, which
+// the production checker skips for chunks of one cluster and replaces
+// with in-place normalization from the cluster layout for the rest.
 #ifndef KAV_TESTS_REFERENCE_STREAMING_H
 #define KAV_TESTS_REFERENCE_STREAMING_H
 
@@ -33,9 +38,17 @@ class ReferenceStreamingChecker {
     if (finished_) {
       throw std::logic_error("StreamingChecker::add after finish()");
     }
+    ++stats_.operations_ingested;
+    if (op.start >= op.finish) {
+      ++stats_.operations_evicted;
+      violations_.push_back({StreamingViolation::Kind::hard_anomaly,
+                             watermark_,
+                             "malformed operation " + describe(op) +
+                                 ": start >= finish"});
+      return;
+    }
     window_.push_back(op);
     min_window_finish_ = std::min(min_window_finish_, op.finish);
-    ++stats_.operations_ingested;
     stats_.peak_window = std::max(stats_.peak_window, window_.size());
   }
 

@@ -1,12 +1,15 @@
 // Differential fuzz of the streaming checker's flush: the production
-// StreamingChecker (sort-based clustering over reused scratch buffers)
-// against the original hash-map re-clustering flush kept in
-// tests/reference_streaming.h. Both are fed the same hostile streams --
-// duplicate write values, orphan reads, reads past the staleness
-// horizon, reads that precede their write, start-order and
-// finish-order feeds, random watermark jumps -- and must agree on
-// violations() (kind, when, detail), stats() and window_size() after
-// every call, and on any exception a call throws.
+// StreamingChecker (sort-based clustering over reused scratch buffers,
+// chunks decided from the cluster layout) against the original
+// hash-map re-clustering flush kept in tests/reference_streaming.h,
+// which decides every chunk through a raw History, normalize and FZF.
+// Both are fed the same hostile streams -- duplicate write values,
+// orphan reads, reads past the staleness horizon, reads that precede
+// their write, malformed operations, coarse-clock stamps that tie and
+// writes that outlive their reads, start-order and finish-order feeds,
+// random watermark jumps -- and must agree on violations() (kind, when,
+// detail), stats() and window_size() after every call, and on any
+// exception a call throws.
 //
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
 // every failure; KAV_FUZZ_TRIALS overrides the trial count.
@@ -21,6 +24,7 @@
 
 #include "core/streaming.h"
 #include "gen/generators.h"
+#include "history/anomaly.h"
 #include "reference_streaming.h"
 #include "util/rng.h"
 
@@ -47,7 +51,8 @@ int fuzz_trials(int fallback) {
 // A stream with every shape the checker must survive. Values come from
 // a small pool so duplicates are common; some reads name values no
 // write ever stores, some name writes that start after the read ends,
-// and some arrive long after their write (past a small horizon).
+// some arrive long after their write (past a small horizon), and a few
+// operations are malformed (start >= finish).
 std::vector<Operation> hostile_stream(Rng& rng) {
   std::vector<Operation> ops;
   const int count = static_cast<int>(rng.uniform(1, 120));
@@ -57,7 +62,9 @@ std::vector<Operation> hostile_stream(Rng& rng) {
   for (int i = 0; i < count; ++i) {
     cursor += rng.uniform(0, 12);
     const TimePoint start = cursor + rng.uniform(-6, 6);
-    const TimePoint finish = start + rng.uniform(1, 40);
+    const TimePoint finish = rng.bernoulli(0.02)
+                                 ? start - rng.uniform(0, 3)
+                                 : start + rng.uniform(1, 40);
     const std::uint64_t shape = rng.bounded(10);
     if (shape < 4 || written.empty()) {
       const Value value = rng.bernoulli(0.15) && !written.empty()
@@ -93,6 +100,47 @@ std::vector<Operation> mix_stream(Rng& rng) {
   config.staleness_decay = 0.6;
   const History h = gen::generate_random_mix(config, rng);
   return {h.operations().begin(), h.operations().end()};
+}
+
+// Well-formed operations on a coarse clock: every stamp is a multiple
+// of one tick, so starts and finishes often tie, and a read often
+// finishes no later than its write. Chunks of several clusters then
+// reach FZF only after pass-A tie breaks and pass-B write shortening.
+// Reads start no earlier than their write, so none precedes it.
+std::vector<Operation> coarse_clock_stream(Rng& rng) {
+  std::vector<Operation> ops;
+  const int count = static_cast<int>(rng.uniform(4, 80));
+  const TimePoint tick = rng.uniform(5, 20);
+  TimePoint cursor = 0;
+  Value next_value = 1;
+  std::vector<Value> written;
+  for (int i = 0; i < count; ++i) {
+    cursor += tick * rng.uniform(0, 1);
+    if (written.empty() || rng.bernoulli(0.3)) {
+      written.push_back(next_value);
+      ops.push_back(make_write(cursor, cursor + tick * rng.uniform(1, 6),
+                               next_value++));
+    } else {
+      const TimePoint finish = cursor + tick * rng.uniform(1, 3);
+      const std::size_t back =
+          std::min<std::size_t>(written.size() - 1, rng.bounded(3));
+      ops.push_back(
+          make_read(cursor, finish, written[written.size() - 1 - back]));
+    }
+  }
+  return ops;
+}
+
+// Whether a stream ties two stamps and has a write that outlives one of
+// its reads: the two repairs normalization makes.
+bool needs_both_repairs(const std::vector<Operation>& ops) {
+  const AnomalyReport report = find_anomalies(History(ops));
+  const auto has = [&report](AnomalyKind kind) {
+    return std::any_of(report.anomalies.begin(), report.anomalies.end(),
+                       [kind](const Anomaly& a) { return a.kind == kind; });
+  };
+  return has(AnomalyKind::duplicate_timestamp) &&
+         has(AnomalyKind::write_outlives_dictated_read);
 }
 
 struct Checkers {
@@ -150,13 +198,23 @@ TEST(StreamingFuzz, SortedFlushMatchesTheReferenceOnHostileStreams) {
       {"staleness horizon", 0},
       {"has a hard anomaly", 0},
       {"is not 2-atomic", 0},
+      {"malformed operation", 0},
   };
+  int coarse_with_both_repairs = 0;
   std::uint64_t chunks = 0;
   for (int trial = 0; trial < trials; ++trial) {
     const std::string where_trial = "seed " + std::to_string(seed) +
                                     " trial " + std::to_string(trial);
-    std::vector<Operation> ops =
-        rng.bernoulli(0.7) ? hostile_stream(rng) : mix_stream(rng);
+    const std::uint64_t shape = rng.bounded(10);
+    std::vector<Operation> ops;
+    if (shape < 6) {
+      ops = hostile_stream(rng);
+    } else if (shape < 8) {
+      ops = mix_stream(rng);
+    } else {
+      ops = coarse_clock_stream(rng);
+      coarse_with_both_repairs += needs_both_repairs(ops);
+    }
     const bool by_finish = rng.bernoulli(0.5);
     std::sort(ops.begin(), ops.end(),
               [by_finish](const Operation& a, const Operation& b) {
@@ -208,11 +266,13 @@ TEST(StreamingFuzz, SortedFlushMatchesTheReferenceOnHostileStreams) {
     }
     chunks += c.fast.stats().chunks_verified;
   }
-  // Every hostile shape shows up, and chunks still settle through FZF.
+  // Every hostile shape shows up, coarse clocks need both repairs, and
+  // chunks still settle through FZF.
   if (trials >= 100) {
     for (const auto& [fragment, seen] : shapes) {
       EXPECT_GT(seen, trials / 100) << fragment;
     }
+    EXPECT_GT(coarse_with_both_repairs, trials / 100);
     EXPECT_GT(chunks, static_cast<std::uint64_t>(trials));
   }
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/fzf.h"
 #include "core/streaming.h"
@@ -170,6 +172,110 @@ TEST(Streaming, ReadBeforeItsWriteIsOneFindingAndTheWindowStaysBounded) {
       << found.detail;
   EXPECT_LT(peak, 32u) << "the anomalous chunk was never evicted";
   EXPECT_EQ(checker.stats().operations_evicted, 20'002u);
+}
+
+TEST(Streaming, MalformedOperationsAreFindingsAndTheWindowStaysBounded) {
+  // No History can hold an operation with start >= finish, so a chunk
+  // that kept one would fail on every flush and the window would never
+  // compact. Each must be dropped on arrival as one hard_anomaly: here
+  // a write whose zone lies inside the forward zone [10, 50] of value 1
+  // and an orphan read.
+  StreamingOptions options;
+  options.staleness_horizon = 100;
+  StreamingChecker checker(options);
+  checker.add(make_write(0, 10, 1));
+  checker.add(make_write(20, 20, 100'000));
+  checker.add(make_read(25, 15, 99));
+  checker.add(make_read(50, 60, 1));
+  std::size_t peak = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    const TimePoint start = 30 + 20 * static_cast<TimePoint>(i);
+    checker.add(make_write(start, start + 10, 2 + i));
+    checker.add(make_read(start + 12, start + 15, 2 + i));
+    ASSERT_NO_THROW(checker.advance_watermark(start)) << "op " << i;
+    peak = std::max(peak, checker.window_size());
+  }
+  Verdict verdict;
+  ASSERT_NO_THROW(verdict = checker.finish());
+  EXPECT_TRUE(verdict.no());
+  ASSERT_EQ(checker.violations().size(), 2u);
+  for (const StreamingViolation& found : checker.violations()) {
+    EXPECT_EQ(found.kind, StreamingViolation::Kind::hard_anomaly);
+    EXPECT_NE(found.detail.find("malformed operation"), std::string::npos)
+        << found.detail;
+  }
+  EXPECT_EQ(checker.violations()[0].detail,
+            "malformed operation write(v=100000) [20, 20): start >= finish");
+  EXPECT_LT(peak, 64u) << "the window stopped compacting";
+  EXPECT_EQ(checker.stats().operations_ingested, 4'004u);
+  EXPECT_EQ(checker.stats().operations_evicted, 4'004u);
+}
+
+// --- Chunk decision shapes ------------------------------------------------
+// A settled chunk of one forward cluster is 2-atomic without a decider;
+// any other chunk is normalized from its cluster layout and decided by
+// FZF. These pin each shape's outcome and finding text.
+
+StreamingChecker settle_all(const std::vector<Operation>& ops) {
+  StreamingOptions options;
+  options.staleness_horizon = 100;
+  StreamingChecker checker(options);
+  for (const Operation& op : ops) checker.add(op);
+  checker.advance_watermark(1'000);
+  return checker;
+}
+
+TEST(Streaming, OneClusterChunkIsVerifiedWithoutAFinding) {
+  // A forward zone [10, 20]; one read ties the write's finish and one
+  // overlaps it, neither of which a one-cluster chunk needs repaired.
+  const StreamingChecker checker =
+      settle_all({make_write(0, 10, 1), make_read(20, 30, 1),
+                  make_read(10, 25, 1), make_read(5, 12, 1)});
+  EXPECT_TRUE(checker.violations().empty());
+  EXPECT_EQ(checker.stats().chunks_verified, 1u);
+  EXPECT_EQ(checker.stats().dangling_clusters, 0u);
+  EXPECT_EQ(checker.stats().operations_evicted, 4u);
+  EXPECT_EQ(checker.window_size(), 0u);
+}
+
+TEST(Streaming, ForwardAndBackwardChunkThatIsTwoAtomicHasNoFinding) {
+  // Forward zone [10, 30] holds the backward zone [16, 20]: the order
+  // w1, w2 explains every read with separation at most 1.
+  const std::vector<Operation> ops = {
+      make_write(0, 10, 1), make_read(30, 40, 1), make_write(15, 20, 2),
+      make_read(16, 22, 2)};
+  ASSERT_TRUE(check_2atomicity_fzf(normalize(History(ops))).yes());
+  const StreamingChecker checker = settle_all(ops);
+  EXPECT_TRUE(checker.violations().empty());
+  EXPECT_EQ(checker.stats().chunks_verified, 1u);
+  EXPECT_EQ(checker.stats().dangling_clusters, 0u);
+  EXPECT_EQ(checker.window_size(), 0u);
+}
+
+TEST(Streaming, ThreeAttachedBackwardClustersFailLemma43) {
+  // Forward zone [10, 100] holds three backward zones: w2 [20, 30] and
+  // w3 [30, 40] tie at 30 (pass A), and w4 outlives its read (pass B).
+  const std::vector<Operation> ops = {
+      make_write(20, 30, 2), make_write(0, 10, 1),  make_write(30, 40, 3),
+      make_read(62, 65, 4),  make_write(60, 70, 4), make_read(100, 110, 1)};
+  const StreamingChecker checker = settle_all(ops);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  const StreamingViolation& found = checker.violations().front();
+  EXPECT_EQ(found.kind, StreamingViolation::Kind::not_2atomic);
+  EXPECT_EQ(found.when, 1'000);
+  // The chunk in member order: forward clusters by zone low, then the
+  // attached backward ones by zone low, each write before its reads.
+  const std::vector<Operation> chunk = {
+      make_write(0, 10, 1),  make_read(100, 110, 1), make_write(20, 30, 2),
+      make_write(30, 40, 3), make_write(60, 70, 4),  make_read(62, 65, 4)};
+  const Verdict batch = check_2atomicity_fzf(normalize(History(chunk)));
+  ASSERT_TRUE(batch.no());
+  EXPECT_NE(batch.reason.find("Lemma 4.3"), std::string::npos)
+      << batch.reason;
+  EXPECT_EQ(found.detail,
+            "settled chunk over [10, 100] is not 2-atomic: " + batch.reason);
+  EXPECT_EQ(checker.stats().chunks_verified, 1u);
+  EXPECT_EQ(checker.window_size(), 0u);
 }
 
 TEST(Streaming, RewrittenValuesAreRememberedOnceEach) {
