@@ -249,6 +249,9 @@ struct Engine::Metrics {
 
     void finish(const Report& report) {
       finished_ = true;
+      // Timed before the status ledger records the run, so every
+      // instrument of a run that /status shows as finished is final.
+      timer_.stop();
       obs::Counter& end =
           batch_ ? (report.cancelled ? metrics_.runs_cancelled_batch
                                      : metrics_.runs_completed_batch)
@@ -475,10 +478,11 @@ Report Engine::verify_selective(
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   const KeyFilter filter(run);
   const std::vector<std::string> available = source.selectable_keys();
-  const std::set<std::string> offered(available.begin(), available.end());
+  const std::set<std::string, std::less<>> offered(available.begin(),
+                                                   available.end());
   std::vector<ShardSpec> specs;
-  specs.reserve(filter.wanted.size());
-  for (const std::string& key : filter.wanted) {
+  // No filter selects every key the index holds.
+  for (const std::string& key : filter.active ? filter.wanted : offered) {
     if (offered.count(key) == 0) continue;
     ShardSpec spec;
     spec.key = key;
@@ -531,34 +535,42 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
   // Anchored once at entry: the same cutoff governs reading the source
   // AND the shard phase, so a slow source cannot re-arm the timeout.
   const auto deadline = effective_deadline(run);
-  if (!run.key_filter.empty()) {
-    // The selective fast path: an index-backed source hands out per-key
-    // op counts and lazy loaders, so only the requested keys' blocks
-    // are ever decoded -- no full-file materialization.
-    if (auto* selective = dynamic_cast<SelectiveTraceSource*>(&source)) {
-      Report report = verify_selective(*selective, run, deadline);
-      scope.finish(report);
-      return report;
-    }
+  // An index-backed source decodes each selected key (every key when
+  // no filter is set) inside its pool worker, zero-copy from its blocks.
+  if (auto* selective = dynamic_cast<SelectiveTraceSource*>(&source)) {
+    Report report = verify_selective(*selective, run, deadline);
+    scope.finish(report);
+    return report;
   }
-  // Any other source (or no filter): group by key while draining, then
-  // one lazy shard per key, its History built on a pool worker. A
-  // filter keeps only matching operations, but every record is decoded.
   const KeyFilter filter(run);
-  KeyGrouper grouper = grouper_for(filter);
-  const std::string stop =
-      drive_source(source, run, deadline, "reading " + source.describe(),
-                   [&grouper](std::span<const KeyedOperation> batch) {
-                     for (const KeyedOperation& kop : batch) {
-                       grouper.add(kop.key, kop.op);
-                     }
-                   });
-  KeyGroups groups = std::move(grouper).finish();
-  Report report = run_specs(lazy_shards(groups), run, deadline);
-  account_selection(report, filter, groups.keys);
-  if (!stop.empty()) {
+  const std::string activity = "reading " + source.describe();
+  // An unfiltered .kavb stream is decoded and grouped on the pool.
+  GroupedDecode decoded;
+  if (auto* binary = dynamic_cast<BinaryFileTraceSource*>(&source);
+      binary != nullptr && !filter.active) {
+    decoded = binary->decode_grouped(
+        *pool_, [&] { return check_stop(run, deadline, activity); });
+  }
+  // Any other source, or a declined decode: group by key while draining
+  // (malformed bytes throw here, from the source's own reader). A
+  // filter keeps only matching operations, but every record is decoded.
+  if (decoded.status == GroupedDecode::Status::declined) {
+    KeyGrouper grouper = grouper_for(filter);
+    decoded.stop_reason =
+        drive_source(source, run, deadline, activity,
+                     [&grouper](std::span<const KeyedOperation> batch) {
+                       for (const KeyedOperation& kop : batch) {
+                         grouper.add(kop.key, kop.op);
+                       }
+                     });
+    decoded.groups = std::move(grouper).finish();
+  }
+  // One lazy shard per key, its History built on a pool worker.
+  Report report = run_specs(lazy_shards(decoded.groups), run, deadline);
+  account_selection(report, filter, decoded.groups.keys);
+  if (!decoded.stop_reason.empty()) {
     report.cancelled = true;
-    report.stop_reason = stop;
+    report.stop_reason = decoded.stop_reason;
   }
   scope.finish(report);
   return report;

@@ -150,11 +150,15 @@ class Engine {
   // (budget, cancel, deadline, fail-fast) are never checked.
   Report verify(const KeyedTrace& trace, const RunOptions& run = {});
   Report verify(const KeyedHistories& shards, const RunOptions& run = {});
-  // Pulls the source dry first (cancellable), grouping by key as it
-  // reads, then verifies as above -- unless RunOptions::key_filter is
-  // set and the source is index-backed (SelectiveTraceSource), in which
-  // case only the requested keys' blocks are ever decoded, each inside
-  // a pool worker.
+  // Routes by source, then verifies as above:
+  //   - index-backed (SelectiveTraceSource): each requested key -- every
+  //     key without a key_filter -- is decoded inside its pool worker,
+  //     and the rest of the input never is;
+  //   - an unfiltered .kavb stream (BinaryFileTraceSource): decoded and
+  //     grouped by key on the pool (ingest/parallel_decode.h);
+  //   - anything else: pulled dry on the calling thread (cancellable),
+  //     grouping by key as it reads.
+  // A stop during the parallel decode leaves no per-key results.
   Report verify(TraceSource& source, const RunOptions& run = {});
 
   // Online monitoring: stream the source through a per-key
@@ -216,8 +220,8 @@ class Engine {
   Report run_specs(
       const std::vector<ShardSpec>& specs, const RunOptions& run,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);
-  // key_filter over an index-backed source: one lazy spec per
-  // requested key, decoded on the pool straight from the index.
+  // An index-backed source: one lazy spec per requested key (every key
+  // without a key_filter), decoded on the pool straight from the index.
   Report verify_selective(
       SelectiveTraceSource& source, const RunOptions& run,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);

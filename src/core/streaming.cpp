@@ -425,10 +425,12 @@ void StreamingChecker::flush_settled(TimePoint settled_before) {
     for (std::uint32_t c : s.members) {
       read_before_write |= s.clusters[c].read_before_write;
     }
-    // A chunk of one forward cluster has one write, so its only write
-    // order [w] is viable (Lemma 4.2) unless a read precedes w: it is
-    // 2-atomic and needs no History.
-    if (s.members.size() > 1 || read_before_write) {
+    // A chunk of one or two clusters where no read precedes its write
+    // is 2-atomic and needs no History: one cluster has the single
+    // write order [w] (Lemma 4.2); with two, precedence plus dictation
+    // is acyclic and two writes separate no read from its write by
+    // more than one (docs/ALGORITHMS.md, "Two clusters").
+    if (s.members.size() > 2 || read_before_write) {
       if (std::optional<StreamingViolation> found = decide_chunk(
               s, window_, run.lo, run.hi, read_before_write, watermark_)) {
         violations_.push_back(std::move(*found));

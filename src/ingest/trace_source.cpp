@@ -1,5 +1,8 @@
 #include "ingest/trace_source.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
@@ -73,14 +76,28 @@ const std::string& require_readable(const std::string& path) {
 BinaryFileTraceSource::BinaryFileTraceSource(const std::string& path)
     : path_(path),
       in_(require_readable(path), std::ios::binary),
-      reader_(in_) {}
+      reader_(in_),
+      fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+
+BinaryFileTraceSource::~BinaryFileTraceSource() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
 bool BinaryFileTraceSource::next(KeyedOperation& out) {
+  started_ = true;
   // A v2 stream ends at its footer sentinel; reading on would parse the
   // footer as a chunk header.
   if (ended_) return false;
   ended_ = !reader_.next(out);
   return !ended_;
+}
+
+GroupedDecode BinaryFileTraceSource::decode_grouped(pipeline::ThreadPool& pool,
+                                                    const StopCheck& stop) {
+  if (std::exchange(started_, true)) return {};
+  GroupedDecode decoded = parallel_decode(fd_, pool, stop);
+  ended_ = decoded.status != GroupedDecode::Status::declined;
+  return decoded;
 }
 
 std::string BinaryFileTraceSource::describe() const {

@@ -12,7 +12,10 @@
 // either format. Memory cost: binary file sources and push sources are
 // truly streaming (O(chunk) / O(capacity)); text file sources load the
 // whole trace at construction, which is inherent to the line-oriented
-// text format.
+// text format. A batch run groups the whole trace by key whatever the
+// source: over a .kavb file, BinaryFileTraceSource::decode_grouped does
+// it in O(threads x chunk) read buffers plus exact-size per-key
+// buckets, with no growth slack.
 #ifndef KAV_INGEST_TRACE_SOURCE_H
 #define KAV_INGEST_TRACE_SOURCE_H
 
@@ -28,6 +31,7 @@
 #include "history/history.h"
 #include "history/keyed_trace.h"
 #include "ingest/binary_trace.h"
+#include "ingest/parallel_decode.h"
 #include "util/thread_safety.h"
 
 namespace kav {
@@ -126,15 +130,32 @@ class TextFileTraceSource final : public TraceSource {
 class BinaryFileTraceSource final : public TraceSource {
  public:
   explicit BinaryFileTraceSource(const std::string& path);
+  ~BinaryFileTraceSource() override;
+
+  BinaryFileTraceSource(const BinaryFileTraceSource&) = delete;
+  BinaryFileTraceSource& operator=(const BinaryFileTraceSource&) = delete;
 
   bool next(KeyedOperation& out) override;
   std::string describe() const override;
+
+  // Whole-stream batch pull for Engine::verify: decodes the file on
+  // `pool` straight into per-key groups (ingest/parallel_decode.h).
+  // Declines, touching nothing, once the stream has been read from or
+  // when the bytes are malformed -- next() then still reads from where
+  // it was, and reports the fault. After `done` or `stopped` the source
+  // is at its end, as a drained source is.
+  GroupedDecode decode_grouped(pipeline::ThreadPool& pool,
+                               const StopCheck& stop);
 
  private:
   std::string path_;
   std::ifstream in_;
   BinaryTraceReader reader_;
-  bool ended_ = false;  // the reader must not be pulled past the end
+  // The same file for decode_grouped, opened with the stream, so a
+  // path replaced later cannot change what a run reads.
+  int fd_;
+  bool started_ = false;  // next() or decode_grouped() has run
+  bool ended_ = false;    // the reader must not be pulled past the end
 };
 
 // Incremental push source: producers push() completed operations from

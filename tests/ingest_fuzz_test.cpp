@@ -9,24 +9,40 @@
 //      batch oracle verify_keyed_trace(k=2) answers NO for, with zero
 //      late arrivals and a window that never holds the whole trace.
 //
+//   3. parallel .kavb decode -- Engine::verify over a .kavb stream
+//      (decoded on the pool, ingest/parallel_decode.h) returns the
+//      in-memory Engine's report for every chunk size, thread count and
+//      unindexed v2 shape; on malformed bytes it throws exactly what
+//      drain() throws; a stop before the first chunk cancels the run.
+//
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
 // every failure, so any finding reproduces with
 //   KAV_FUZZ_SEED=<seed> ./ingest_fuzz_test
+// KAV_FUZZ_TRIALS overrides the decode differential's trial count.
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/mutators.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
 #include "ingest/keyed_monitor.h"
+#include "ingest/parallel_decode.h"
+#include "ingest/trace_source.h"
 #include "pipeline/thread_pool.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -39,6 +55,14 @@ std::uint64_t fuzz_seed() {
     return std::strtoull(env, nullptr, 10);
   }
   return kDefaultSeed;
+}
+
+int fuzz_trials(int fallback) {
+  if (const char* env = std::getenv("KAV_FUZZ_TRIALS")) {
+    const long parsed = std::strtol(env, nullptr, 10);
+    if (parsed > 0) return static_cast<int>(parsed);
+  }
+  return fallback;
 }
 
 std::string random_key(Rng& rng) {
@@ -211,6 +235,314 @@ TEST(IngestFuzz, MonitorFlagsExactlyTheBatchNoKeys) {
       }
     }
   }
+}
+
+// --- Parallel .kavb decode ----------------------------------------------
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string binary_bytes(const KeyedTrace& trace, std::size_t records_per_chunk,
+                         std::uint16_t version = kBinaryTraceVersion) {
+  std::ostringstream out;
+  write_binary_trace(out, trace, records_per_chunk, version);
+  return out.str();
+}
+
+// Per-key shards from the generators, some keys joining only late in
+// the stream, plus a few raw random keys: the verdicts mix YES, NO and
+// precondition failures, and later chunks introduce new key-table
+// entries.
+KeyedTrace decode_trace(Rng& rng) {
+  const std::size_t keys = 1 + rng.bounded(7);
+  std::vector<std::vector<Operation>> shards;
+  std::vector<std::size_t> joins;  // stream position where a key may start
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < keys; ++k) {
+    const History shard = random_shard(rng);
+    shards.emplace_back(shard.operations().begin(), shard.operations().end());
+    total += shards.back().size();
+  }
+  for (std::size_t k = 0; k < keys; ++k) {
+    joins.push_back(rng.bernoulli(0.3) ? rng.bounded(total + 1) : 0);
+  }
+  KeyedTrace trace;
+  std::vector<std::size_t> next(keys, 0);
+  while (trace.size() < total) {
+    // Keys with operations left that have joined; when every key left
+    // is still waiting, any of them.
+    std::vector<std::size_t> ready;
+    std::vector<std::size_t> left;
+    for (std::size_t k = 0; k < keys; ++k) {
+      if (next[k] == shards[k].size()) continue;
+      left.push_back(k);
+      if (trace.size() >= joins[k]) ready.push_back(k);
+    }
+    const std::vector<std::size_t>& pick = ready.empty() ? left : ready;
+    const std::size_t k = pick[rng.bounded(pick.size())];
+    trace.add("k" + std::to_string(k), shards[k][next[k]++]);
+  }
+  for (const KeyedOperation& kop : random_trace(rng).ops) trace.ops.push_back(kop);
+  return trace;
+}
+
+void expect_reports_equal(const Report& got, const Report& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.per_key.size(), want.per_key.size()) << context;
+  for (const auto& [key, result] : want.per_key) {
+    ASSERT_TRUE(got.per_key.count(key)) << context << " key " << key;
+    const Verdict& a = got.per_key.at(key).verdict;
+    const Verdict& b = result.verdict;
+    ASSERT_EQ(a.outcome, b.outcome) << context << " key " << key;
+    ASSERT_EQ(a.witness, b.witness) << context << " key " << key;
+    ASSERT_EQ(a.reason, b.reason) << context << " key " << key;
+    ASSERT_EQ(a.conflict, b.conflict) << context << " key " << key;
+    ASSERT_TRUE(a.stats == b.stats) << context << " key " << key;
+  }
+  ASSERT_TRUE(got.verify_totals == want.verify_totals) << context;
+  ASSERT_EQ(got.cancelled, want.cancelled) << context;
+}
+
+// parallel_decode over the file at `path`, never stopping.
+GroupedDecode decode_file(const std::string& path, pipeline::ThreadPool& pool) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  GroupedDecode decoded =
+      parallel_decode(fd, pool, [] { return std::string(); });
+  if (fd >= 0) ::close(fd);
+  return decoded;
+}
+
+std::unique_ptr<Engine> engine_with(std::size_t threads) {
+  EngineOptions options;
+  options.threads = threads;
+  return std::make_unique<Engine>(options);
+}
+
+TEST(ParallelDecode, ReportsMatchMemoryAcrossChunkSizesAndThreads) {
+  const std::uint64_t seed = fuzz_seed() ^ 0xdec0deULL;
+  Rng rng(seed);
+  const test::TempDir dir;
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    engines.push_back(engine_with(threads));
+  }
+  const int trials = fuzz_trials(40);
+  for (int trial = 0; trial < trials; ++trial) {
+    SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(fuzz_seed()) +
+                 " (trial " + std::to_string(trial) + ")");
+    const KeyedTrace trace = decode_trace(rng);
+    const Report want = engines.front()->verify(trace);
+    const KeyGroups want_groups = group_by_key(trace);
+
+    std::vector<std::pair<std::string, std::string>> files;  // name, bytes
+    for (std::size_t chunk : {1u, 3u, 4096u}) {
+      files.emplace_back("v1 chunk " + std::to_string(chunk),
+                         binary_bytes(trace, chunk));
+    }
+    // Unsealed v2: a v2 header over a plain chunk stream, no footer.
+    std::string unsealed = binary_bytes(trace, 1 + rng.bounded(5));
+    unsealed[4] = static_cast<char>(kBinaryTraceVersion2);
+    files.emplace_back("unsealed v2", unsealed);
+    // v2 without its trailer: the index is gone, the stream ends at the
+    // footer sentinel.
+    std::string chopped =
+        binary_bytes(trace, 1 + rng.bounded(5), kBinaryTraceVersion2);
+    chopped.resize(chopped.size() - kBinaryTraceTrailerBytes);
+    files.emplace_back("v2 without trailer", chopped);
+
+    for (const auto& [name, bytes] : files) {
+      const std::string path = dir.file("trace.kavb");
+      write_bytes(path, bytes);
+      for (const auto& engine : engines) {
+        const std::string context =
+            name + " threads " + std::to_string(engine->thread_count());
+        // The decoder itself groups exactly as KeyGrouper does.
+        const GroupedDecode decoded = decode_file(path, engine->pool());
+        ASSERT_EQ(decoded.status, GroupedDecode::Status::done) << context;
+        ASSERT_EQ(decoded.groups.keys, want_groups.keys) << context;
+        ASSERT_EQ(decoded.groups.ops, want_groups.ops) << context;
+
+        auto source = open_trace_source(path);
+        ASSERT_NE(dynamic_cast<BinaryFileTraceSource*>(source.get()), nullptr)
+            << context;
+        expect_reports_equal(engine->verify(*source), want, context);
+        // A decoded source is at its end, as a drained one is.
+        KeyedOperation kop;
+        EXPECT_FALSE(source->next(kop)) << context;
+      }
+    }
+  }
+}
+
+// What `run` ends in: the summary it returns, or the exception's text.
+template <typename Run>
+std::string outcome_of(const Run& run) {
+  try {
+    return "ok: " + run();
+  } catch (const std::exception& e) {
+    return std::string("threw: ") + e.what();
+  }
+}
+
+std::string through_drain(Engine& engine, const std::string& path) {
+  return outcome_of([&] {
+    const KeyedTrace trace = drain(*open_trace_source(path));
+    return engine.verify(trace).summary();
+  });
+}
+
+std::string through_engine(Engine& engine, const std::string& path) {
+  return outcome_of(
+      [&] { return engine.verify(*open_trace_source(path)).summary(); });
+}
+
+TEST(ParallelDecode, MalformedBytesThrowWhatTheReaderThrows) {
+  KeyedTrace trace;
+  for (int i = 0; i < 12; ++i) {
+    const TimePoint t = 10 * i;
+    trace.add("key" + std::to_string(i % 3 + i / 6),
+              i % 2 == 0 ? make_write(t, t + 5, i) : make_read(t, t + 5, i - 1));
+  }
+  const std::string good = binary_bytes(trace, 3);
+  const test::TempDir dir;
+  const std::string path = dir.file("bad.kavb");
+  const auto engine = engine_with(8);
+
+  std::vector<std::string> cases;
+  // ingest_test's cases: bad magic, version 7, a record cut short, key
+  // id 9 of a one-key table, a bad type byte.
+  cases.push_back("not a kavb file at all");
+  cases.push_back(good);
+  cases.back()[4] = '\x07';
+  cases.push_back(good.substr(0, good.size() - 5));
+  {
+    KeyedTrace one;
+    one.add("k", make_write(0, 5, 1));
+    std::string bytes = binary_bytes(one, 4096);
+    bytes[8 + 8 + 3] = '\x09';
+    cases.push_back(bytes);
+    bytes = binary_bytes(one, 4096);
+    bytes.back() = '\x05';
+    cases.push_back(bytes);
+  }
+  // Every truncation, and every byte set to each of a few values.
+  for (std::size_t size = 0; size < good.size(); ++size) {
+    cases.push_back(good.substr(0, size));
+  }
+  for (std::size_t at = 0; at < good.size(); ++at) {
+    for (const char value : {'\x00', '\x05', '\x07', '\x09', '\xff'}) {
+      if (good[at] == value) continue;
+      cases.push_back(good);
+      cases.back()[at] = value;
+    }
+  }
+
+  std::size_t threw = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    write_bytes(path, cases[i]);
+    const std::string want = through_drain(*engine, path);
+    ASSERT_EQ(through_engine(*engine, path), want) << "case " << i;
+    threw += want.rfind("threw: ", 0) == 0 ? 1 : 0;
+  }
+  // The sweep must mostly exercise the error path.
+  EXPECT_GT(threw, cases.size() / 2);
+}
+
+TEST(ParallelDecode, TheEarlierOfTwoCorruptChunksIsReported) {
+  KeyedTrace trace;
+  for (int i = 0; i < 64; ++i) {
+    const TimePoint t = 10 * i;
+    trace.add("key" + std::to_string(i % 5), make_write(t, t + 5, i));
+  }
+  // 4 records per chunk, one new key per chunk at most: chunk c's
+  // payload is easy to find by walking the headers.
+  std::string bytes = binary_bytes(trace, 4);
+  std::vector<std::size_t> type_bytes;  // last byte of each chunk
+  for (std::size_t at = kBinaryTraceHeaderBytes; at < bytes.size();) {
+    const auto* p = reinterpret_cast<const unsigned char*>(bytes.data() + at);
+    const std::uint32_t new_keys = wire::load_u32(p);
+    const std::uint32_t records = wire::load_u32(p + 4);
+    at += 8;
+    for (std::uint32_t k = 0; k < new_keys; ++k) {
+      at += 2 + wire::load_u16(
+                    reinterpret_cast<const unsigned char*>(bytes.data() + at));
+    }
+    at += std::size_t{records} * kBinaryTraceRecordBytes;
+    type_bytes.push_back(at - 1);
+  }
+  ASSERT_EQ(type_bytes.size(), 16u);
+  bytes[type_bytes[3]] = '\x05';
+  bytes[type_bytes[12]] = '\x05';
+  const test::TempDir dir;
+  const std::string path = dir.file("two_bad.kavb");
+  write_bytes(path, bytes);
+
+  const auto engine = engine_with(8);
+  const std::string want = through_drain(*engine, path);
+  EXPECT_EQ(through_engine(*engine, path), want);
+  EXPECT_NE(want.find("at byte " + std::to_string(type_bytes[3]) + ":"),
+            std::string::npos)
+      << want;
+  EXPECT_EQ(decode_file(path, engine->pool()).status,
+            GroupedDecode::Status::declined);
+}
+
+TEST(ParallelDecode, AStopBeforeTheFirstChunkCancelsTheRun) {
+  KeyedTrace trace;
+  for (int i = 0; i < 100; ++i) {
+    const TimePoint t = 10 * i;
+    trace.add("key" + std::to_string(i % 7), make_write(t, t + 5, i));
+  }
+  const test::TempDir dir;
+  const std::string path = dir.file("trace.kavb");
+  write_bytes(path, binary_bytes(trace, 8));
+  const auto engine = engine_with(2);
+
+  RunOptions cancelled;
+  cancelled.cancel.cancel();
+  RunOptions expired;
+  expired.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  for (const RunOptions* run : {&cancelled, &expired}) {
+    auto source = open_trace_source(path);
+    const Report report = engine->verify(*source, *run);
+    EXPECT_TRUE(report.cancelled);
+    EXPECT_NE(report.stop_reason.find("while reading binary:"),
+              std::string::npos)
+        << report.stop_reason;
+    EXPECT_TRUE(report.per_key.empty());
+    KeyedOperation kop;
+    EXPECT_FALSE(source->next(kop));
+  }
+  EXPECT_EQ(engine->verify(*open_trace_source(path), cancelled)
+                .stop_reason.rfind("cancelled by caller", 0),
+            0u);
+}
+
+// A key string listed twice in the key table is legal to the serial
+// reader, which merges the two ids into one key; the decoder leaves
+// that file to it.
+TEST(ParallelDecode, DuplicateKeyStringsFallBackToTheSerialReader) {
+  std::string bytes = binary_bytes({}, 4096);
+  for (int chunk = 0; chunk < 2; ++chunk) {
+    wire::append_u32(bytes, 1);  // new_keys
+    wire::append_u32(bytes, 1);  // records
+    wire::append_u16(bytes, 1);
+    bytes.push_back('a');
+    append_record(bytes, static_cast<std::uint32_t>(chunk),
+                  make_write(10 * chunk, 10 * chunk + 5, chunk + 1));
+  }
+  const test::TempDir dir;
+  const std::string path = dir.file("dup.kavb");
+  write_bytes(path, bytes);
+  const auto engine = engine_with(2);
+  EXPECT_EQ(decode_file(path, engine->pool()).status,
+            GroupedDecode::Status::declined);
+  const Report report = engine->verify(*open_trace_source(path));
+  ASSERT_EQ(report.per_key.size(), 1u);
+  EXPECT_EQ(through_engine(*engine, path), through_drain(*engine, path));
 }
 
 }  // namespace

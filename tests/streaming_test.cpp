@@ -252,6 +252,22 @@ TEST(Streaming, ForwardAndBackwardChunkThatIsTwoAtomicHasNoFinding) {
   EXPECT_EQ(checker.window_size(), 0u);
 }
 
+TEST(Streaming, TwoForwardClusterChunkIsVerifiedWithoutAFinding) {
+  // Forward zones [10, 25] and [15, 18] overlap into one run; a read of
+  // 2 starts as w1 finishes, a tie a decider would need pass A for.
+  // Order w1, w2 puts one write between value 1's late read and w1.
+  const std::vector<Operation> ops = {
+      make_write(0, 10, 1), make_write(5, 15, 2), make_read(10, 20, 2),
+      make_read(18, 30, 2), make_read(25, 35, 1)};
+  ASSERT_TRUE(check_2atomicity_fzf(normalize(History(ops))).yes());
+  const StreamingChecker checker = settle_all(ops);
+  EXPECT_TRUE(checker.violations().empty());
+  EXPECT_EQ(checker.stats().chunks_verified, 1u);
+  EXPECT_EQ(checker.stats().dangling_clusters, 0u);
+  EXPECT_EQ(checker.stats().operations_evicted, 5u);
+  EXPECT_EQ(checker.window_size(), 0u);
+}
+
 TEST(Streaming, ThreeAttachedBackwardClustersFailLemma43) {
   // Forward zone [10, 100] holds three backward zones: w2 [20, 30] and
   // w3 [30, 40] tie at 30 (pass A), and w4 outlives its read (pass B).

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.h"
@@ -338,10 +340,12 @@ TEST(EngineTelemetry, ConcurrentScrapesDuringLiveRunsStayClean) {
 
   std::atomic<bool> done{false};
   std::atomic<int> scrape_errors{0};
+  std::atomic<int> scraping{0};  // scrapers past their first request
   std::vector<std::thread> scrapers;
   const char* const targets[] = {"/metrics", "/status", "/healthz", "/spans"};
   for (int t = 0; t < 4; ++t) {
     scrapers.emplace_back([&, t] {
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         try {
           const net::HttpResponse response =
@@ -350,8 +354,16 @@ TEST(EngineTelemetry, ConcurrentScrapesDuringLiveRunsStayClean) {
         } catch (const std::exception&) {
           ++scrape_errors;
         }
+        if (std::exchange(first, false)) ++scraping;
       }
     });
+  }
+  // The runs take milliseconds: under load they could all end before
+  // any scraper is scheduled, and then nothing would overlap them.
+  const auto wait_until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (scraping.load() < 4 && std::chrono::steady_clock::now() < wait_until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   const KeyedTrace trace = small_trace(4, 24, 77);

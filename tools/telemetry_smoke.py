@@ -21,15 +21,24 @@ registry between that scrape and the exit dump. /metrics must be the
 final request -- a later /status or /healthz would not tick the rate
 windows, but ordering it last keeps the invariant independent of that.
 
+The port is announced before any monitoring work, so the last scrape
+first waits, bounded, for /status to record the demo run as finished
+and for the pool to have completed every task it was given: a run's
+final counters land when it finishes, and a pool worker counts its
+task just after the task returns.
+
 Registered as the `telemetry_smoke` ctest case (integration label) so
 ./ci.sh's non-unit sweep runs it on every pipeline.
 """
 
+import json
 import subprocess
 import sys
+import time
 import urllib.request
 
 ANNOUNCE = "telemetry listening on http://"
+SETTLE_TIMEOUT_S = 30
 
 
 def fail(message):
@@ -41,6 +50,40 @@ def get(endpoint, target):
     with urllib.request.urlopen(f"http://{endpoint}{target}",
                                 timeout=10) as response:
         return response.status, response.read().decode()
+
+
+def counter(exposition, name):
+    for line in exposition.splitlines():
+        if line.startswith(name + " "):
+            return line.split()[1]
+    return None
+
+
+def settled_scrape(endpoint):
+    """The /metrics scrape taken once the demo run is over: /status shows
+    a finished run and none in flight, and the pool has completed as
+    many tasks as were submitted. Fails after SETTLE_TIMEOUT_S."""
+    deadline = time.monotonic() + SETTLE_TIMEOUT_S
+    while True:
+        status, body = get(endpoint, "/status")
+        if status != 200:
+            fail(f"/status while waiting: {status} {body[:200]!r}")
+        runs = json.loads(body)["runs"]
+        if runs["completed"] + runs["cancelled"] >= 1 and runs["in_flight"] == 0:
+            break
+        if time.monotonic() > deadline:
+            fail(f"demo run not finished after {SETTLE_TIMEOUT_S}s: {runs}")
+        time.sleep(0.05)
+    while True:
+        status, scraped = get(endpoint, "/metrics")
+        if status != 200 or "# TYPE" not in scraped:
+            fail(f"/metrics: {status} {scraped[:120]!r}")
+        submitted = counter(scraped, "kav_pool_tasks_submitted_total")
+        if submitted == counter(scraped, "kav_pool_tasks_completed_total"):
+            return scraped
+        if time.monotonic() > deadline:
+            fail(f"pool still busy after {SETTLE_TIMEOUT_S}s")
+        time.sleep(0.05)
 
 
 def main():
@@ -75,9 +118,7 @@ def main():
         status, body = get(endpoint, "/status")
         if status != 200 or '"server"' not in body or '"runs"' not in body:
             fail(f"/status: {status} {body[:200]!r}")
-        status, scraped = get(endpoint, "/metrics")
-        if status != 200 or "# TYPE" not in scraped:
-            fail(f"/metrics: {status} {scraped[:120]!r}")
+        scraped = settled_scrape(endpoint)
         print(f"telemetry_smoke: four endpoints OK "
               f"(/metrics {len(scraped)} bytes)")
 
